@@ -679,7 +679,16 @@ let write_sim_json rows counters path =
   (* The counter registry of the sweep's last cell: machine counters from
      that run plus its client-layer counters (sched.forks, lock.spins,
      sync.blocks, ...) — the same thing the shared-instance driver
-     reported, and independent of how many domains ran the sweep. *)
+     reported, and independent of how many domains ran the sweep.  It is a
+     snapshot of that one cell, not a sweep total, so [counters_cell]
+     names the cell (the same keys as its [workloads] row). *)
+  (match List.rev rows with
+  | r :: _ ->
+      Printf.fprintf oc
+        "  \"counters_cell\": {\"name\": %S, \"machine\": %S, \"scheduler\": \
+         %S, \"gc_model\": %S, \"procs\": %d},\n"
+        r.sc_bench r.sc_machine r.sc_sched r.sc_gc r.sc_procs
+  | [] -> Printf.fprintf oc "  \"counters_cell\": null,\n");
   Printf.fprintf oc "  \"counters\": {";
   List.iteri
     (fun i (name, v) ->

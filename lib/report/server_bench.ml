@@ -26,9 +26,9 @@ let schedulers = [ "fifo"; "distributed"; "ws" ]
 let grid_procs = [ 1; 4; 16 ]
 
 (* Offered loads for the saturation ramp, requests per virtual second at 16
-   procs on the Sequent model.  Pipeline capacity there is ~460 req/s
-   (bounded by the CML global lock, not the workers), so the ramp crosses
-   the knee inside the list. *)
+   procs on the Sequent model.  Pipeline capacity there is ~460 req/s,
+   set by the default 4 shards x 1 worker (more workers raise it), so the
+   ramp crosses the knee inside the list. *)
 let ramp_rates ~quick =
   if quick then [ 150.; 300.; 450.; 700. ]
   else [ 150.; 200.; 250.; 300.; 350.; 400.; 450.; 500.; 600.; 700. ]

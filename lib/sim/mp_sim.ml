@@ -50,15 +50,14 @@ struct
            real suspension; flushed to the trace when the proc suspends *)
   }
 
-  (* Lock representation, lifted out of [module Lock] so the scheduler's
-     lock state machine (below) can name it.  [sharers] is the set of nodes
-     whose caches hold the lock word (a bitmask); every probe/release is an
-     RMW that claims the line exclusive, so under a hierarchical machine a
-     probe from a node outside the sharer set crosses the inter-node link
-     and invalidates the remote copies.  Under [Flat_bus] there is one node,
-     the sharer set is always a subset of [{0}], and the remote path is
-     unreachable — the arithmetic is exactly the single-bus model's. *)
-  type sim_lock = { mutable held : bool; mutable sharers : int }
+  (* A contended shared word: a platform lock, or a client's [Work.line]
+     (whose [held] bit is unused).  [sharers] is the set of nodes whose
+     caches hold the word (a bitmask); every write is an RMW that claims
+     the line exclusive, so under a hierarchical machine a write from a
+     node outside the sharer set crosses the inter-node link and
+     invalidates the remote copies.  Under [Flat_bus] there is one node and
+     the remote route is unreachable. *)
+  type word = { mutable held : bool; mutable sharers : int }
 
   (* One op of a work program ([Work.step]'s interleaved compute/alloc
      slices, [Work.alloc]'s slice loop): the unit at which the reference
@@ -80,13 +79,13 @@ struct
      most one effect-handler suspension. *)
   type Engine.action +=
     | A_work of work_op list * unit Engine.cont
-        (* previous op's charge applied; remaining ops pending *)
-    | A_lock_probe of sim_lock * int * lock_kont
-        (* probe charge + bus applied; the held-test is pending *)
-    | A_lock_wait of sim_lock * int * lock_kont
-        (* spin-retry charge applied; the next probe is pending *)
-    | A_unlock of sim_lock * unit Engine.cont
-        (* unlock charge + bus applied; the release write is pending *)
+        (* previous op committed; remaining ops pending *)
+    | A_lock_probe of word * int * lock_kont
+        (* probe RMW committed; the held-test is pending *)
+    | A_lock_wait of word * int * lock_kont
+        (* spin-retry delay committed; the next probe is pending *)
+    | A_unlock of word * unit Engine.cont
+        (* unlock RMW committed; the release write is pending *)
 
   let fresh_proc id =
     {
@@ -115,7 +114,7 @@ struct
      into [n_nodes] contiguous nodes, each with its own FCFS bus, joined by
      a single shared FCFS link with its own latency and bandwidth.  All
      per-node state is indexed by node id; with one node the arrays are
-     singletons and behave exactly like the former scalar refs. *)
+     singletons. *)
   let n_nodes = Sim_config.nodes config
   let per_node = Sim_config.procs_per_node config
   let node_of_proc id = if n_nodes = 1 then 0 else id / per_node
@@ -142,8 +141,7 @@ struct
   (* GC cost model: all region accounting (admission, trigger, episode
      pricing) lives behind [Gc_model.MODEL]; the scheduler only parks
      procs while [gc_pending] is set and prices the barrier via
-     [GcM.episode].  The default [Stw] instance is the former inline code
-     term for term, so goldens are unchanged. *)
+     [GcM.episode]. *)
   module GcM = (val Gc_model.instance config.gc
                       {
                         Gc_model.procs = config.procs;
@@ -151,7 +149,6 @@ struct
                         survival = config.gc_survival;
                         cycles_per_word = config.gc_cycles_per_word;
                         fixed_cycles = config.gc_fixed_cycles;
-                        parallelism = config.gc_parallelism;
                         minor_fixed_cycles = config.gc_minor_fixed_cycles;
                         barrier_cycles = config.gc_barrier_cycles;
                       })
@@ -169,7 +166,6 @@ struct
   let escaped : exn option ref = ref None
   let poll_hook = ref (fun () -> ())
   let running = ref false
-  let trace : Sim_trace.t option ref = ref None
 
   module Telemetry = Mp_intf.Telemetry_of (struct
     (* Single stream: the simulator multiplexes every proc over one domain,
@@ -182,16 +178,11 @@ struct
         ()
   end)
 
-  (* Events flow both to the legacy [Machine.enable_trace] ring and to the
-     platform's telemetry capability; construction at every emit site is
-     guarded by [tracing] so a quiet run allocates no events, charges no
-     virtual time and takes no extra suspensions. *)
-  let tracing () = !trace <> None || Telemetry.enabled ()
-
-  let trace_event e =
-    (match !trace with Some t -> Sim_trace.record t e | None -> ());
-    Telemetry.emit e
-
+  (* Construction at every emit site is guarded by [tracing] so a quiet run
+     allocates no events, charges no virtual time and takes no extra
+     suspensions. *)
+  let tracing = Telemetry.enabled
+  let trace_event = Telemetry.emit
   let observe_clock n = if n > !max_clock then max_clock := n
 
   (* Real-time watchdog for debugging client deadlocks: dump proc states if
@@ -218,7 +209,7 @@ struct
     if p.ran_ahead > 0 then begin
       if tracing () then
         trace_event
-          (Sim_trace.Coalesced
+          (Obs.Event.Coalesced
              { proc = p.id; clock = p.clock; cycles = p.ran_ahead });
       p.ran_ahead <- 0
     end
@@ -229,254 +220,199 @@ struct
     Ready_heap.push ready ~clock:p.clock ~id:p.id p;
     check_heap ()
 
-  (* ------------------------------------------------------------------ *)
-  (* Fiber-side charging primitives.                                    *)
-  (* ------------------------------------------------------------------ *)
-
   let yield_ready p c =
     set_ready p (Engine.Resume (c, ()));
     A_yield
 
-  (* Run-ahead fast path.  [inline_charge p ~cpu ~bytes ~idle] advances [p]
-     past [cpu] cycles of work followed by a [bytes]-byte bus transfer
-     (0 = none) without suspending, and returns [true], exactly when the
-     scheduler would hand control straight back to [p] anyway: no GC is
-     pending and [p]'s post-charge (clock, id) key still precedes every
-     ready proc's key.  In that case the suspend/dispatch round-trip it
-     skips is a virtual-time no-op, so results are bit-identical to the
-     always-suspend scheduler; all accounting below mirrors the slow path
-     ([charge_busy]/[charge_idle] + [bus_transfer]) term for term. *)
-  let inline_charge p ~cpu ~bytes ~idle =
+  (* ------------------------------------------------------------------ *)
+  (* Cost quotes.                                                       *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Every simulator op is [cpu] cycles of work (busy, or [idle])
+     followed by an optional [bytes]-byte transfer on the proc's FCFS node
+     bus; a write that invalidates [invals] > 0 copies cached on other
+     nodes then also crosses the shared FCFS link, paying its latency.
+     [quote] prices an op from [p.clock] and the machine state into the
+     scratch [quoted], changing nothing (so quoting allocates nothing);
+     [commit] applies the last quote.  Bus and link queueing count as busy
+     time: the proc is stalled on memory, not idle. *)
+  type quote = {
+    mutable post : int;  (* clock after the op *)
+    mutable idle : bool;  (* the op's cycles count as idle, not busy *)
+    mutable bus_end : int;  (* the node bus's free-at after the op *)
+    mutable bus_cycles : int;  (* node-bus occupancy; 0 = no transfer *)
+    mutable link_cycles : int;  (* link occupancy; 0 = stays on the node *)
+    mutable bytes : int;
+    mutable invals : int;
+  }
+
+  let quoted =
+    {
+      post = 0;
+      idle = false;
+      bus_end = 0;
+      bus_cycles = 0;
+      link_cycles = 0;
+      bytes = 0;
+      invals = 0;
+    }
+
+  let transfer_cycles bytes per_cycle =
+    max 1 (int_of_float (float_of_int bytes /. per_cycle))
+
+  let alloc_cycles words =
+    int_of_float (config.alloc_cycles_per_word *. float_of_int words)
+
+  let quote p ~cpu ~bytes ~invals ~idle =
+    let start = p.clock + cpu in
+    quoted.idle <- idle;
+    quoted.bytes <- bytes;
+    quoted.invals <- invals;
+    quoted.link_cycles <- 0;
+    if bytes = 0 then begin
+      quoted.post <- start;
+      quoted.bus_cycles <- 0
+    end
+    else begin
+      let d = transfer_cycles bytes config.bus_bytes_per_cycle in
+      let bus_end = max start bus_free_at.(node_of_proc p.id) + d in
+      quoted.bus_cycles <- d;
+      quoted.bus_end <- bus_end;
+      quoted.post <- bus_end;
+      if invals > 0 then begin
+        let k = link_latency + transfer_cycles bytes link_bytes_per_cycle in
+        quoted.link_cycles <- k;
+        quoted.post <- max bus_end !link_free_at + k
+      end
+    end
+
+  let commit p =
+    let q = quoted in
+    let total = q.post - p.clock in
+    p.clock <- q.post;
+    if q.idle then p.idle <- p.idle + total else p.busy <- p.busy + total;
+    if q.bytes > 0 then begin
+      let node = node_of_proc p.id in
+      bus_free_at.(node) <- q.bus_end;
+      bus_busy.(node) <- bus_busy.(node) + q.bus_cycles;
+      bus_total_bytes := !bus_total_bytes + q.bytes;
+      if q.link_cycles > 0 then begin
+        link_free_at := q.post;
+        link_busy := !link_busy + q.link_cycles;
+        remote_bytes := !remote_bytes + q.bytes;
+        invalidations := !invalidations + q.invals
+      end
+    end;
+    observe_clock q.post
+
+  (* The run-ahead gate: commit the op inline, without suspending, exactly
+     when the scheduler would hand control straight back to [p] anyway —
+     no GC pending and [p]'s post-op (clock, id) key still precedes every
+     ready proc's key.  The suspend/dispatch round-trip it skips is then a
+     virtual-time no-op, so results are bit-identical to the always-suspend
+     scheduler.  The first key test uses a lower bound of the post-op clock
+     (a transfer takes at least one cycle), so a failed attempt — the
+     common case under contention — costs a few compares and no quote. *)
+  let inline_op p ~cpu ~bytes ~invals ~idle =
     run_ahead_enabled
     && (not !gc_pending)
-    (* Early out on a lower bound of the post-charge clock before any bus
-       arithmetic: the key is monotone in the clock, so failing here means
-       the exact check below would fail too.  This keeps the cost of a
-       failed attempt (the common case under multi-proc contention) to a
-       few integer compares. *)
     && Ready_heap.precedes_min ready
          ~clock:(if bytes = 0 then p.clock + cpu else p.clock + cpu + 1)
          ~id:p.id
-    &&
-    let node = node_of_proc p.id in
-    let dur =
-      if bytes = 0 then 0
-      else
-        max 1 (int_of_float (float_of_int bytes /. config.bus_bytes_per_cycle))
-    in
-    let start =
-      if bytes = 0 then p.clock + cpu else max (p.clock + cpu) bus_free_at.(node)
-    in
-    let clock' = start + dur in
-    let total = clock' - p.clock in
-    p.ran_ahead + total <= config.run_ahead_window
-    && (bytes = 0 || Ready_heap.precedes_min ready ~clock:clock' ~id:p.id)
     && begin
-         p.clock <- clock';
-         if idle then p.idle <- p.idle + total else p.busy <- p.busy + total;
-         if bytes > 0 then begin
-           bus_free_at.(node) <- clock';
-           bus_busy.(node) <- bus_busy.(node) + dur;
-           bus_total_bytes := !bus_total_bytes + bytes
-         end;
-         p.ran_ahead <- p.ran_ahead + total;
+         quote p ~cpu ~bytes ~invals ~idle;
+         bytes = 0 || Ready_heap.precedes_min ready ~clock:quoted.post ~id:p.id
+       end
+    && begin
+         p.ran_ahead <- p.ran_ahead + (quoted.post - p.clock);
          incr coalesced_ct;
-         observe_clock clock';
+         commit p;
          true
        end
 
-  let charge_busy n =
-    if n > 0 then begin
-      let p = cur () in
-      if not (inline_charge p ~cpu:n ~bytes:0 ~idle:false) then
-        Engine.suspend (fun c ->
-            p.clock <- p.clock + n;
-            p.busy <- p.busy + n;
-            observe_clock p.clock;
-            yield_ready p c)
+  (* The suspend path commits the same quote at the same position: in the
+     suspend body, or in a scheduler-side episode machine. *)
+  let apply_op p ~cpu ~bytes ~invals ~idle =
+    quote p ~cpu ~bytes ~invals ~idle;
+    commit p
+
+  (* A suspend body runs at once, before any other proc, so a fiber can
+     quote before suspending and the body finds that quote still in the
+     scratch: one closure for every suspending charge, not one per call. *)
+  let commit_and_yield c =
+    let p = cur () in
+    commit p;
+    yield_ready p c
+
+  (* Fiber side: gate + commit, else quote, suspend + commit. *)
+  let charge_op p ~cpu ~bytes ~invals ~idle =
+    if not (inline_op p ~cpu ~bytes ~invals ~idle) then begin
+      quote p ~cpu ~bytes ~invals ~idle;
+      Engine.suspend commit_and_yield
     end
 
-  let charge_idle n =
-    if n > 0 then begin
-      let p = cur () in
-      if not (inline_charge p ~cpu:n ~bytes:0 ~idle:true) then
-        Engine.suspend (fun c ->
-            p.clock <- p.clock + n;
-            p.idle <- p.idle + n;
-            observe_clock p.clock;
-            yield_ready p c)
-    end
+  let charge_cpu ~idle n =
+    if n > 0 then charge_op (cur ()) ~cpu:n ~bytes:0 ~invals:0 ~idle
 
-  (* FCFS node-local bus: runs inside a suspend body, advances [p] past the
-     end of its transfer.  Queueing stall counts as busy time (the proc is
-     stalled on memory, not idle). *)
-  let bus_transfer p bytes =
-    let node = node_of_proc p.id in
-    let dur =
-      max 1 (int_of_float (float_of_int bytes /. config.bus_bytes_per_cycle))
-    in
-    let start = max p.clock bus_free_at.(node) in
-    let stall = start - p.clock in
-    p.clock <- start + dur;
-    p.busy <- p.busy + stall + dur;
-    bus_free_at.(node) <- p.clock;
-    bus_busy.(node) <- bus_busy.(node) + dur;
-    bus_total_bytes := !bus_total_bytes + bytes;
-    observe_clock p.clock
-
-  (* A transfer that must cross the inter-node link: a local-bus leg (the
-     request occupies the requesting node's bus as usual) followed by a link
-     leg that pays the link latency and serializes on the shared link's FCFS
-     queue.  [invals] remote cached copies are invalidated by the transfer.
-     Only reachable when [n_nodes > 1]. *)
-  let remote_transfer p bytes ~invals =
-    let node = node_of_proc p.id in
-    let ldur =
-      max 1 (int_of_float (float_of_int bytes /. config.bus_bytes_per_cycle))
-    in
-    let lstart = max p.clock bus_free_at.(node) in
-    let lend = lstart + ldur in
-    let kdur =
-      link_latency
-      + max 1 (int_of_float (float_of_int bytes /. link_bytes_per_cycle))
-    in
-    let kstart = max lend !link_free_at in
-    let kend = kstart + kdur in
-    p.busy <- p.busy + (kend - p.clock);
-    p.clock <- kend;
-    bus_free_at.(node) <- lend;
-    bus_busy.(node) <- bus_busy.(node) + ldur;
-    link_free_at := kend;
-    link_busy := !link_busy + kdur;
-    bus_total_bytes := !bus_total_bytes + bytes;
-    remote_bytes := !remote_bytes + bytes;
-    invalidations := !invalidations + invals;
-    observe_clock p.clock
-
-  (* Run-ahead twin of [remote_transfer] preceded by [cpu] cycles of work:
-     same gate structure as [inline_charge], same arithmetic as the slow
-     path ([charge] then [remote_transfer]) term for term. *)
-  let inline_charge_remote p ~cpu ~bytes ~invals =
-    run_ahead_enabled
-    && (not !gc_pending)
-    && Ready_heap.precedes_min ready ~clock:(p.clock + cpu + 1) ~id:p.id
-    &&
-    let node = node_of_proc p.id in
-    let ldur =
-      max 1 (int_of_float (float_of_int bytes /. config.bus_bytes_per_cycle))
-    in
-    let lstart = max (p.clock + cpu) bus_free_at.(node) in
-    let lend = lstart + ldur in
-    let kdur =
-      link_latency
-      + max 1 (int_of_float (float_of_int bytes /. link_bytes_per_cycle))
-    in
-    let clock' = max lend !link_free_at + kdur in
-    let total = clock' - p.clock in
-    p.ran_ahead + total <= config.run_ahead_window
-    && Ready_heap.precedes_min ready ~clock:clock' ~id:p.id
-    && begin
-         p.clock <- clock';
-         p.busy <- p.busy + total;
-         bus_free_at.(node) <- lend;
-         bus_busy.(node) <- bus_busy.(node) + ldur;
-         link_free_at := clock';
-         link_busy := !link_busy + kdur;
-         bus_total_bytes := !bus_total_bytes + bytes;
-         remote_bytes := !remote_bytes + bytes;
-         invalidations := !invalidations + invals;
-         p.ran_ahead <- p.ran_ahead + total;
-         incr coalesced_ct;
-         observe_clock clock';
-         true
-       end
-
-  (* One RMW bus transaction on a lock word from proc [p]: route it by the
-     line's sharer set (node-local when no other node caches the word,
-     across the link otherwise) and claim the line exclusive for [p]'s
-     node.  The sharer set is read and written at the charge, i.e. at the
-     same virtual position in the inline and always-suspend machines, so
-     the routing decision is deterministic and identical in both.  The
-     inline variant returns [false] without side effects when the run-ahead
-     gates fail; callers then apply [lock_rmw_slow] inside a suspend body. *)
-  let lock_rmw_inline p l ~cpu =
+  (* An RMW from [p] on [w] claims the line exclusive for [p]'s node and
+     returns how many other nodes' copies it invalidates (0 = the transfer
+     stays on the node bus).  Callers claim once, before the gate, and pass
+     the count to whichever path commits. *)
+  let claim p w =
     let me = 1 lsl node_of_proc p.id in
-    let others = l.sharers land lnot me in
-    let ok =
-      if others = 0 then
-        inline_charge p ~cpu ~bytes:config.lock_bus_bytes ~idle:false
-      else
-        inline_charge_remote p ~cpu ~bytes:config.lock_bus_bytes
-          ~invals:(popcount others)
-    in
-    if ok then l.sharers <- me;
-    ok
+    let others = w.sharers land lnot me in
+    w.sharers <- me;
+    popcount others
 
-  let lock_rmw_slow p l ~cpu =
-    let me = 1 lsl node_of_proc p.id in
-    let others = l.sharers land lnot me in
-    p.clock <- p.clock + cpu;
-    p.busy <- p.busy + cpu;
-    if others = 0 then bus_transfer p config.lock_bus_bytes
-    else remote_transfer p config.lock_bus_bytes ~invals:(popcount others);
-    l.sharers <- me
+  let rmw p w ~cpu ~bytes =
+    charge_op p ~cpu ~bytes ~invals:(claim p w) ~idle:false
 
-  (* Allocation is spread over the computation it belongs to: one suspend
-     per small slice, so bus occupancy interleaves with other procs instead
-     of arriving as one long FCFS burst. *)
+  (* Allocation is spread over the computation it belongs to: one op per
+     small slice, so bus occupancy interleaves with other procs instead of
+     arriving as one long FCFS burst. *)
   let alloc_slice_words = 256
 
-  (* Slow-path allocation accounting, shared by [alloc_one_slice] and
-     [work_slow]: route the words through the GC model (which may set
-     [gc_pending]) and, when the model ran an independent minor collection
-     ([minor_pp]), charge its pause to this proc alone — the other procs
-     keep running, which is the whole point of per-proc minor heaps.  The
-     pause is a suspension-path effect, so virtual time stays identical
-     with and without the run-ahead fast path. *)
-  let alloc_slow_account p words =
-    p.alloc_words <- p.alloc_words + words;
-    let pause, collected = GcM.alloc_slow ~proc:p.id ~words in
+  (* Inline allocation additionally needs the GC model's strict admission
+     (this slice cannot fill the region): a trigger must park the proc. *)
+  let alloc_inline p w =
+    GcM.admit ~proc:p.id ~words:w
+    && inline_op p ~cpu:(alloc_cycles w) ~bytes:(w * config.word_bytes)
+         ~invals:0 ~idle:false
+    && begin
+         p.alloc_words <- p.alloc_words + w;
+         GcM.commit_fast ~proc:p.id ~words:w;
+         true
+       end
+
+  (* Suspend-path allocation: route the words through the GC model (which
+     may set [gc_pending]) and, when the model ran an independent minor
+     collection ([minor_pp]), charge its pause to this proc alone — the
+     other procs keep running, which is the whole point of per-proc minor
+     heaps. *)
+  let alloc_apply p w =
+    apply_op p ~cpu:(alloc_cycles w) ~bytes:(w * config.word_bytes) ~invals:0
+      ~idle:false;
+    p.alloc_words <- p.alloc_words + w;
+    let pause, collected = GcM.alloc_slow ~proc:p.id ~words:w in
     if pause > 0 then begin
       if tracing () then
         trace_event
-          (Sim_trace.Gc_start
-             {
-               clock = p.clock;
-               region_words = collected;
-               kind = Minor;
-               waiters = 0;
-             });
+          (Obs.Event.Gc_start
+             { clock = p.clock; region_words = collected; kind = Minor; waiters = 0 });
       p.clock <- p.clock + pause;
       p.gc_wait <- p.gc_wait + pause;
       observe_clock p.clock;
       if tracing () then
-        trace_event (Sim_trace.Gc_end { clock = p.clock; duration = pause })
+        trace_event (Obs.Event.Gc_end { clock = p.clock; duration = pause })
     end
 
-  let alloc_one_slice words =
-    if words > 0 then begin
-      let p = cur () in
-      let cpu =
-        int_of_float (config.alloc_cycles_per_word *. float_of_int words)
-      in
-      (* Fast path additionally requires the model's admission predicate
-         (this slice cannot fill the allocation region): a GC trigger must
-         park the proc. *)
-      if
-        GcM.admit ~proc:p.id ~words
-        && inline_charge p ~cpu ~bytes:(words * config.word_bytes) ~idle:false
-      then begin
-        p.alloc_words <- p.alloc_words + words;
-        GcM.commit_fast ~proc:p.id ~words
-      end
-      else
-        Engine.suspend (fun c ->
-            p.clock <- p.clock + cpu;
-            p.busy <- p.busy + cpu;
-            bus_transfer p (words * config.word_bytes);
-            alloc_slow_account p words;
-            yield_ready p c)
-    end
+  let op_inline p = function
+    | W_charge n -> n <= 0 || inline_op p ~cpu:n ~bytes:0 ~invals:0 ~idle:false
+    | W_alloc w -> w <= 0 || alloc_inline p w
+
+  let op_apply p = function
+    | W_charge n -> apply_op p ~cpu:n ~bytes:0 ~invals:0 ~idle:false
+    | W_alloc w -> alloc_apply p w
 
   let alloc_slices words =
     let ops = ref [] in
@@ -487,6 +423,24 @@ struct
       remaining := !remaining - slice
     done;
     List.rev !ops
+
+  (* Deterministic per-proc, per-attempt jitter on the retry delay breaks
+     the phase-locking that a fixed period can produce under the
+     deterministic min-clock scheduler (a spinning proc could otherwise
+     probe forever exactly inside other procs' hold windows). *)
+  let retry_delay proc attempt =
+    config.spin_retry_cycles
+    + (((proc * config.spin_jitter_proc) + (attempt * config.spin_jitter_attempt))
+      mod config.spin_jitter_mod)
+
+  let note_acquired p attempt =
+    incr lock_acquires_ct;
+    if tracing () then begin
+      trace_event (Obs.Event.Lock_acquired { proc = p.id; clock = p.clock });
+      if attempt > 0 then
+        trace_event
+          (Obs.Event.Lock_contended { proc = p.id; clock = p.clock; spins = attempt })
+    end
 
   (* ------------------------------------------------------------------ *)
   (* Simulation loop.                                                    *)
@@ -532,7 +486,7 @@ struct
     let finish = gc_start + dur in
     if tracing () then
       trace_event
-        (Sim_trace.Gc_start
+        (Obs.Event.Gc_start
            {
              clock = gc_start;
              region_words = ep.Gc_model.region_words;
@@ -553,28 +507,30 @@ struct
       procs;
     observe_clock finish;
     if tracing () then
-      trace_event (Sim_trace.Gc_end { clock = finish; duration = dur });
+      trace_event (Obs.Event.Gc_end { clock = finish; duration = dur });
     GcM.finish_episode ep
+
+  (* One scheduler decision: the proc is handed its pending action. *)
+  let note_dispatch p =
+    incr sched_decisions_ct;
+    if tracing () then
+      trace_event (Obs.Event.Dispatch { proc = p.id; clock = p.clock })
 
   (* Service a parked poller popped at its wake key.  Each iteration is one
      reference-machine dispatch: count a decision, evaluate the predicate at
-     the current (clock, id) position, and either resume the fiber or charge
-     one idle quantum.  After a charge, keep going inline exactly when the
+     the current (clock, id) position, and either resume the fiber or commit
+     one idle quantum.  After a quantum, keep going inline exactly when the
      scheduler would re-pop this proc next anyway (its key still precedes
-     the heap minimum, no GC pending, horizon window not exhausted);
-     otherwise re-queue and let the next pop continue — either way no
-     effect-handler suspension is taken, which is the entire saving. *)
+     the heap minimum, no GC pending); otherwise re-queue and let the next
+     pop continue — either way no effect-handler suspension is taken, which
+     is the entire saving. *)
   let poll_dispatch p rdy k =
-    let q = config.idle_quantum_cycles in
-    let budget = ref config.horizon_window in
     let continue_ = ref true in
     while !continue_ do
-      incr sched_decisions_ct;
       incr idle_polls_ct;
-      if tracing () then
-        trace_event (Sim_trace.Dispatch { proc = p.id; clock = p.clock });
+      note_dispatch p;
       let r = rdy () in
-      if config.horizon_debug then
+      if config.heap_debug then
         (* The equivalence argument needs a pure predicate: a second
            evaluation at the same position must agree. *)
         assert (rdy () = r);
@@ -583,101 +539,53 @@ struct
         interp p (Engine.Resume (k, ()))
       end
       else begin
-        p.clock <- p.clock + q;
-        p.idle <- p.idle + q;
-        observe_clock p.clock;
+        apply_op p ~cpu:config.idle_quantum_cycles ~bytes:0 ~invals:0 ~idle:true;
         incr coalesced_ct;
-        budget := !budget - q;
         if
-          !gc_pending || !budget < 0
+          !gc_pending
           || not (Ready_heap.precedes_min ready ~clock:p.clock ~id:p.id)
         then begin
           continue_ := false;
           set_ready p (A_poll (rdy, k))
         end
-        else if config.horizon_debug then check_heap ()
+        else check_heap ()
       end
     done
 
   (* ------------------------------------------------------------------ *)
-  (* Scheduler-side episode machines.  Each function below replicates,    *)
-  (* term for term, what the reference fiber does during one dispatch:    *)
-  (* first the inline gate (identical conditions to the fiber fast path), *)
-  (* else the slow body's call-time effects followed by a re-queue.       *)
+  (* Scheduler-side episode machines.  Each step is what the reference    *)
+  (* fiber does during one dispatch: the run-ahead gate and commit, else  *)
+  (* the suspend path's commit followed by a re-queue.                    *)
   (* ------------------------------------------------------------------ *)
-
-  (* Apply one work-program op inline if the fiber's fast path would have;
-     [true] = applied, continue within this dispatch. *)
-  let work_inline p = function
-    | W_charge n -> n <= 0 || inline_charge p ~cpu:n ~bytes:0 ~idle:false
-    | W_alloc w ->
-        w <= 0
-        || GcM.admit ~proc:p.id ~words:w
-           && (let cpu =
-                 int_of_float (config.alloc_cycles_per_word *. float_of_int w)
-               in
-               inline_charge p ~cpu ~bytes:(w * config.word_bytes) ~idle:false)
-           && begin
-                p.alloc_words <- p.alloc_words + w;
-                GcM.commit_fast ~proc:p.id ~words:w;
-                true
-              end
-
-  (* The slow body's call-time effects (mirrors [charge_busy] /
-     [alloc_one_slice]'s suspend bodies). *)
-  let work_slow p = function
-    | W_charge n ->
-        p.clock <- p.clock + n;
-        p.busy <- p.busy + n;
-        observe_clock p.clock
-    | W_alloc w ->
-        let cpu =
-          int_of_float (config.alloc_cycles_per_word *. float_of_int w)
-        in
-        p.clock <- p.clock + cpu;
-        p.busy <- p.busy + cpu;
-        bus_transfer p (w * config.word_bytes);
-        alloc_slow_account p w
 
   let rec work_dispatch p ops k =
     match ops with
     | [] -> interp p (Engine.Resume (k, ()))
     | op :: rest ->
-        if work_inline p op then work_dispatch p rest k
+        if op_inline p op then work_dispatch p rest k
         else begin
-          work_slow p op;
+          op_apply p op;
           set_ready p (A_work (rest, k))
         end
 
-  let retry_delay proc attempt =
-    config.spin_retry_cycles
-    + (((proc * config.spin_jitter_proc) + (attempt * config.spin_jitter_attempt))
-      mod config.spin_jitter_mod)
+  (* Commit one op of an episode: through the gate ([true]: keep going
+     within this dispatch), or as the suspend path would ([false]: the
+     caller re-queues the proc at its new key). *)
+  let step_op p ~cpu ~bytes ~invals =
+    inline_op p ~cpu ~bytes ~invals ~idle:false
+    || begin
+         apply_op p ~cpu ~bytes ~invals ~idle:false;
+         false
+       end
 
-  let note_acquired p attempt =
-    incr lock_acquires_ct;
-    if tracing () then begin
-      trace_event (Sim_trace.Lock_acquired { proc = p.id; clock = p.clock });
-      if attempt > 0 then
-        trace_event
-          (Sim_trace.Lock_contended
-             { proc = p.id; clock = p.clock; spins = attempt })
-    end
-
-  (* Position: probe complete (charge + bus applied); test the lock. *)
+  (* Position: probe committed; test the lock. *)
   let rec lock_probe_result p l attempt kont =
     if l.held then begin
       p.spins <- p.spins + 1;
       let attempt = attempt + 1 in
-      let d = retry_delay p.id attempt in
-      if inline_charge p ~cpu:d ~bytes:0 ~idle:false then
+      if step_op p ~cpu:(retry_delay p.id attempt) ~bytes:0 ~invals:0 then
         lock_send_probe p l attempt kont
-      else begin
-        p.clock <- p.clock + d;
-        p.busy <- p.busy + d;
-        observe_clock p.clock;
-        set_ready p (A_lock_wait (l, attempt, kont))
-      end
+      else set_ready p (A_lock_wait (l, attempt, kont))
     end
     else begin
       l.held <- true;
@@ -687,26 +595,25 @@ struct
 
   (* Position: about to issue the next probe. *)
   and lock_send_probe p l attempt kont =
-    if lock_rmw_inline p l ~cpu:config.try_lock_cycles then
-      lock_probe_result p l attempt kont
-    else begin
-      lock_rmw_slow p l ~cpu:config.try_lock_cycles;
-      set_ready p (A_lock_probe (l, attempt, kont))
-    end
+    if
+      step_op p ~cpu:config.try_lock_cycles ~bytes:config.lock_bus_bytes
+        ~invals:(claim p l)
+    then lock_probe_result p l attempt kont
+    else set_ready p (A_lock_probe (l, attempt, kont))
 
   and lock_won p l kont =
     match kont with
     | K_lock k -> interp p (Engine.Resume (k, ()))
     | K_locked (run, k) ->
         run ();
-        if lock_rmw_inline p l ~cpu:config.unlock_cycles then begin
+        if
+          step_op p ~cpu:config.unlock_cycles ~bytes:config.lock_bus_bytes
+            ~invals:(claim p l)
+        then begin
           l.held <- false;
           interp p (Engine.Resume (k, ()))
         end
-        else begin
-          lock_rmw_slow p l ~cpu:config.unlock_cycles;
-          set_ready p (A_unlock (l, k))
-        end
+        else set_ready p (A_unlock (l, k))
 
   let any_gc_waiting () =
     Array.exists (fun p -> match p.state with Gc_waiting _ -> true | _ -> false) procs
@@ -757,39 +664,18 @@ struct
           current := p.id;
           (match a with
           | A_poll (rdy, k) -> poll_dispatch p rdy k
-          | A_work (ops, k) ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              work_dispatch p ops k
-          | A_lock_probe (l, attempt, kont) ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              lock_probe_result p l attempt kont
-          | A_lock_wait (l, attempt, kont) ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              lock_send_probe p l attempt kont
-          | A_unlock (l, k) ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              l.held <- false;
-              interp p (Engine.Resume (k, ()))
-          | a ->
-              incr sched_decisions_ct;
-              (if tracing () then
-                 trace_event
-                   (Sim_trace.Dispatch { proc = p.id; clock = p.clock }));
-              interp p a);
+          | a -> (
+              note_dispatch p;
+              match a with
+              | A_work (ops, k) -> work_dispatch p ops k
+              | A_lock_probe (l, attempt, kont) -> lock_probe_result p l attempt kont
+              | A_lock_wait (l, attempt, kont) -> lock_send_probe p l attempt kont
+              | A_unlock (l, k) ->
+                  l.held <- false;
+                  interp p (Engine.Resume (k, ()))
+              | a -> interp p a));
           (if tracing () && p.state = Free then
-             trace_event (Sim_trace.Freed { proc = p.id; clock = p.clock }));
+             trace_event (Obs.Event.Freed { proc = p.id; clock = p.clock }));
           loop ()
         end
     end
@@ -816,9 +702,8 @@ struct
       let ok =
         Engine.suspend (fun c ->
             let p = cur () in
-            p.clock <- p.clock + config.acquire_proc_cycles;
-            p.busy <- p.busy + config.acquire_proc_cycles;
-            observe_clock p.clock;
+            apply_op p ~cpu:config.acquire_proc_cycles ~bytes:0 ~invals:0
+              ~idle:false;
             let free = Array.find_opt (fun q -> q.state = Free && q.id <> p.id) procs in
             match free with
             | Some q ->
@@ -829,7 +714,7 @@ struct
                 set_ready q (Engine.Resume (cont, ()));
                 if tracing () then
                   trace_event
-                    (Sim_trace.Acquired { proc = q.id; by = p.id; clock = p.clock });
+                    (Obs.Event.Acquired { proc = q.id; by = p.id; clock = p.clock });
                 set_ready p (Engine.Resume (c, true));
                 A_yield
             | None ->
@@ -861,31 +746,24 @@ struct
   end
 
   module Lock = struct
-    type mutex_lock = sim_lock
+    type mutex_lock = word
 
     let mutex_lock () = { held = false; sharers = 0 }
 
-    (* Charge the probe first (a suspension point), then test-and-set with
+    (* Commit the probe first (a suspension point), then test-and-set with
        no intervening suspension — atomic in virtual time.  When the
-       run-ahead probe says the proc would be re-dispatched immediately, no
-       other proc can run between charge and test either way, so the
-       inline charge preserves the same atomicity. *)
+       run-ahead gate commits inline, no other proc can run between probe
+       and test either way. *)
     let try_lock l =
       let p = cur () in
-      if not (lock_rmw_inline p l ~cpu:config.try_lock_cycles) then
-        Engine.suspend (fun c ->
-            lock_rmw_slow p l ~cpu:config.try_lock_cycles;
-            yield_ready p c);
+      rmw p l ~cpu:config.try_lock_cycles ~bytes:config.lock_bus_bytes;
       if l.held then begin
-        (cur ()).spins <- (cur ()).spins + 1;
+        p.spins <- p.spins + 1;
         false
       end
       else begin
         l.held <- true;
-        incr lock_acquires_ct;
-        (if tracing () then
-           let q = cur () in
-           trace_event (Sim_trace.Lock_acquired { proc = q.id; clock = q.clock }));
+        note_acquired p 0;
         true
       end
 
@@ -898,22 +776,23 @@ struct
        costs at most one per episode. *)
     let lock_fast l kont_of =
       let p = cur () in
+      let cpu = config.try_lock_cycles and bytes = config.lock_bus_bytes in
       let attempt = ref 0 in
       let done_ = ref false in
       let parked = ref false in
       while not !done_ do
-        if lock_rmw_inline p l ~cpu:config.try_lock_cycles then begin
+        let invals = claim p l in
+        if inline_op p ~cpu ~bytes ~invals ~idle:false then begin
           if l.held then begin
             p.spins <- p.spins + 1;
             incr attempt;
             let d = retry_delay p.id !attempt in
-            if not (inline_charge p ~cpu:d ~bytes:0 ~idle:false) then begin
+            if not (inline_op p ~cpu:d ~bytes:0 ~invals:0 ~idle:false) then begin
               done_ := true;
               parked := true;
+              quote p ~cpu:d ~bytes:0 ~invals:0 ~idle:false;
               Engine.suspend (fun c ->
-                  p.clock <- p.clock + d;
-                  p.busy <- p.busy + d;
-                  observe_clock p.clock;
+                  commit p;
                   set_ready p (A_lock_wait (l, !attempt, kont_of c));
                   A_yield)
             end
@@ -927,56 +806,41 @@ struct
         else begin
           done_ := true;
           parked := true;
+          quote p ~cpu ~bytes ~invals ~idle:false;
           Engine.suspend (fun c ->
-              lock_rmw_slow p l ~cpu:config.try_lock_cycles;
+              commit p;
               set_ready p (A_lock_probe (l, !attempt, kont_of c));
               A_yield)
         end
       done;
       !parked
 
-    (* Deterministic per-proc, per-attempt jitter on the retry delay breaks
-       the phase-locking that a fixed period can produce under the
-       deterministic min-clock scheduler (a spinning proc could otherwise
-       probe forever exactly inside other procs' hold windows).  The
-       multipliers and modulus are Sim_config knobs for backoff
-       experiments. *)
-    (* Reference spin loop: the always-suspend oracle, also used when the
-       horizon fast path is disabled. *)
+    (* Reference spin loop: the always-suspend oracle ([run_ahead = false]). *)
     let lock_ref l =
       let attempt = ref 0 in
       while not (try_lock l) do
         incr attempt;
-        charge_busy
-          (config.spin_retry_cycles
-          + (((!current * config.spin_jitter_proc)
-             + (!attempt * config.spin_jitter_attempt))
-            mod config.spin_jitter_mod))
+        charge_cpu ~idle:false (retry_delay !current !attempt)
       done;
       if !attempt > 0 && tracing () then
         let q = cur () in
         trace_event
-          (Sim_trace.Lock_contended
+          (Obs.Event.Lock_contended
              { proc = q.id; clock = q.clock; spins = !attempt })
 
     let lock l =
-      if run_ahead_enabled && config.horizon then
-        ignore (lock_fast l (fun c -> K_lock c))
+      if run_ahead_enabled then ignore (lock_fast l (fun c -> K_lock c))
       else lock_ref l
 
     let unlock l =
-      let p = cur () in
-      if not (lock_rmw_inline p l ~cpu:config.unlock_cycles) then
-        Engine.suspend (fun c ->
-            lock_rmw_slow p l ~cpu:config.unlock_cycles;
-            yield_ready p c);
+      rmw (cur ()) l ~cpu:config.unlock_cycles ~bytes:config.lock_bus_bytes;
       l.held <- false
 
     (* lock + charge-free critical section + unlock, fused into a single
        parked episode: under contention the whole sequence costs at most
        one suspension instead of one per probe, retry and unlock. *)
     let locked l f =
-      if run_ahead_enabled && config.horizon then begin
+      if run_ahead_enabled then begin
         let res = ref None in
         let run () = res := Some (try Ok (f ()) with e -> Error e) in
         let parked = lock_fast l (fun c -> K_locked (run, c)) in
@@ -1003,22 +867,22 @@ struct
       end
   end
 
-  (* Run a work program from the fiber: ops execute inline while the gates
-     allow; the first gate failure suspends once and hands the remainder to
-     the scheduler's work machine ([work_dispatch]), which services it at
-     the reference positions.  With the horizon disabled this is exactly
-     the reference per-op loop. *)
+  (* Run a work program from the fiber: ops commit inline while the gate
+     allows; the first gate failure suspends once and hands the remainder
+     to the scheduler's work machine ([work_dispatch]), which services it
+     at the reference positions.  With run-ahead off this is the reference
+     loop, one suspension per op. *)
   let run_ops ops =
-    if run_ahead_enabled && config.horizon then begin
-      let p = cur () in
+    let p = cur () in
+    if run_ahead_enabled then begin
       let rec go = function
         | [] -> ()
         | op :: rest ->
-            if work_inline p op then go rest
+            if op_inline p op then go rest
             else
               (* returns once the machine has drained [rest] *)
               Engine.suspend (fun c ->
-                  work_slow p op;
+                  op_apply p op;
                   set_ready p (A_work (rest, c));
                   A_yield)
       in
@@ -1026,55 +890,33 @@ struct
     end
     else
       List.iter
-        (function W_charge n -> charge_busy n | W_alloc w -> alloc_one_slice w)
+        (fun op ->
+          if not (op_inline p op) then
+            Engine.suspend (fun c ->
+                op_apply p op;
+                yield_ready p c))
         ops
 
   module Work = struct
-    let charge n = charge_busy n
+    let charge n = charge_cpu ~idle:false n
     let alloc ~words = run_ops (alloc_slices words)
 
     let traffic ~bytes =
-      if bytes > 0 then begin
-        let p = cur () in
-        if not (inline_charge p ~cpu:0 ~bytes ~idle:false) then
-          Engine.suspend (fun c ->
-              bus_transfer p bytes;
-              yield_ready p c)
-      end
+      if bytes > 0 then charge_op (cur ()) ~cpu:0 ~bytes ~invals:0 ~idle:false
 
     (* Contended shared words outside the platform lock (the lock-algorithm
-       family's cells, run-queue heads): same sharer-set model as
-       [sim_lock], driven by the client through {!read_line}/{!write_line}.
-       [read_line] is charge-free by contract — the read's cost was already
-       charged — so it only grows the sharer set; the RMW in [write_line]
-       routes by it exactly as [lock_rmw_inline] does. *)
-    type line = { mutable sharers : int }
+       family's cells, run-queue heads), driven by the client through
+       {!read_line}/{!write_line}.  [read_line] is charge-free by contract —
+       the read's cost was already charged — so it only grows the sharer
+       set; [write_line] is the same RMW op as a lock probe. *)
+    type line = word
 
-    let line () = { sharers = 0 }
+    let line () = { held = false; sharers = 0 }
 
     let read_line ln =
       ln.sharers <- ln.sharers lor (1 lsl node_of_proc !current)
 
-    let write_line ln ~bytes =
-      if bytes > 0 then begin
-        let p = cur () in
-        let me = 1 lsl node_of_proc p.id in
-        let others = ln.sharers land lnot me in
-        ln.sharers <- me;
-        if others = 0 then begin
-          if not (inline_charge p ~cpu:0 ~bytes ~idle:false) then
-            Engine.suspend (fun c ->
-                bus_transfer p bytes;
-                yield_ready p c)
-        end
-        else begin
-          let invals = popcount others in
-          if not (inline_charge_remote p ~cpu:0 ~bytes ~invals) then
-            Engine.suspend (fun c ->
-                remote_transfer p bytes ~invals;
-                yield_ready p c)
-        end
-      end
+    let write_line ln ~bytes = if bytes > 0 then rmw (cur ()) ln ~cpu:0 ~bytes
 
     (* Interleave compute and allocation slices so the generated bus
        traffic is spread across the work, as real allocation is. *)
@@ -1098,25 +940,24 @@ struct
 
     let poll () = !poll_hook ()
     let set_poll_hook f = poll_hook := f
-    let idle () = charge_idle config.idle_quantum_cycles
+    let idle () = charge_cpu ~idle:true config.idle_quantum_cycles
 
     (* Fast path: park once and let the scheduler service the per-quantum
-       checks ([poll_dispatch]).  The park charges the first quantum, so
+       checks ([poll_dispatch]).  The park commits the first quantum, so
        the first check happens one quantum after the call — exactly where
-       the fallback (and the always-suspend twin) evaluates it. *)
+       the reference loop (and the always-suspend twin) evaluates it. *)
     let idle_until ~ready =
-      if run_ahead_enabled && config.horizon then
+      if run_ahead_enabled then
         Engine.suspend (fun c ->
             let p = cur () in
-            p.clock <- p.clock + config.idle_quantum_cycles;
-            p.idle <- p.idle + config.idle_quantum_cycles;
-            observe_clock p.clock;
+            apply_op p ~cpu:config.idle_quantum_cycles ~bytes:0 ~invals:0
+              ~idle:true;
             incr idle_parks_ct;
             set_ready p (A_poll (ready, c));
             A_yield)
       else begin
         let rec go () =
-          charge_idle config.idle_quantum_cycles;
+          idle ();
           if not (ready ()) then go ()
         in
         go ()
@@ -1274,12 +1115,6 @@ struct
       let secs = elapsed_seconds () in
       if secs <= 0. then 0.
       else float_of_int !bus_total_bytes /. 1.0e6 /. secs
-
-    let enable_trace ?(capacity = 4096) () =
-      trace := Some (Sim_trace.create ~capacity)
-
-    let disable_trace () = trace := None
-    let trace () = !trace
   end
 end
 

@@ -11,17 +11,7 @@ let check = Alcotest.(check int)
 
 (* ---------------- golden determinism cells ---------------- *)
 
-let digest (sched, procs) =
-  let module M =
-    Sim.Mp_sim.Int (struct
-        let config =
-          Sim.Sim_config.sequent ~procs:16
-            ~sched:(Mpthreads.Sched_policy.to_string sched) ()
-      end)
-      ()
-  in
-  let module S = Workloads.Server.Make (M) in
-  let r = S.run ~procs ~sched Workloads.Server.default in
+let render sched procs (r : Workloads.Server.result) =
   Printf.sprintf
     "GOLDEN server sched=%-12s procs=%-2d count=%d sum=%d p50=%d p95=%d \
      p99=%d p999=%d elapsed=%.9f tput=%.3f qwait=%.9f"
@@ -32,6 +22,18 @@ let digest (sched, procs) =
     r.Workloads.Server.p50 r.Workloads.Server.p95 r.Workloads.Server.p99
     r.Workloads.Server.p999 r.Workloads.Server.elapsed
     r.Workloads.Server.throughput r.Workloads.Server.queue_wait
+
+let digest (sched, procs) =
+  let module M =
+    Sim.Mp_sim.Int (struct
+        let config =
+          Sim.Sim_config.sequent ~procs:16
+            ~sched:(Mpthreads.Sched_policy.to_string sched) ()
+      end)
+      ()
+  in
+  let module S = Workloads.Server.Make (M) in
+  render sched procs (S.run ~procs ~sched Workloads.Server.default)
 
 let golden =
   Mpthreads.Sched_policy.
@@ -107,6 +109,46 @@ let test_ws_tail_beats_fifo () =
   if ws >= fifo then
     Alcotest.failf "ws p99 %d not below central fifo p99 %d at 16 procs" ws
       fifo
+
+(* ---------------- run-ahead twin on NUMA ---------------- *)
+
+(* The pipeline on a two-node machine under work stealing, against its
+   always-suspend twin ([run_ahead = false]).  This is the one twin that
+   drives remote [write_line]s, parked pollers that steal, and lock
+   episodes that cross nodes; the run-ahead machine must commit every cost
+   at the same position as the reference. *)
+let numa_twin_cell ~run_ahead =
+  let module M =
+    Sim.Mp_sim.Int (struct
+        let config =
+          {
+            (Sim.Sim_config.of_machine_string_exn ~sched:"ws" "numa:2x8") with
+            run_ahead;
+          }
+      end)
+      ()
+  in
+  let module S = Workloads.Server.Make (M) in
+  let sched = Mpthreads.Sched_policy.Ws in
+  let r =
+    S.run ~procs:16 ~sched { Workloads.Server.default with requests = 300 }
+  in
+  ( render sched 16 r,
+    M.Machine.
+      [
+        ("makespan", makespan_cycles ());
+        ("bus bytes", bus_bytes ());
+        ("remote bytes", remote_bytes ());
+        ("invalidations", invalidations ());
+        ("link busy cycles", link_busy_cycles ());
+      ] )
+
+let test_numa_run_ahead_twin () =
+  let d_fast, m_fast = numa_twin_cell ~run_ahead:true in
+  let d_ref, m_ref = numa_twin_cell ~run_ahead:false in
+  Alcotest.(check string) "digest" d_ref d_fast;
+  List.iter2 (fun (name, r) (_, f) -> check name r f) m_ref m_fast;
+  Alcotest.(check bool) "crosses the link" true (List.assoc "remote bytes" m_fast > 0)
 
 (* ---------------- pure generators ---------------- *)
 
@@ -251,7 +293,11 @@ let () =
               (golden_case (sched, procs) expected))
           golden );
       ( "determinism",
-        [ Alcotest.test_case "rerun identical" `Quick test_rerun_identical ] );
+        [
+          Alcotest.test_case "rerun identical" `Quick test_rerun_identical;
+          Alcotest.test_case "numa:2x8 ws run-ahead twin" `Quick
+            test_numa_run_ahead_twin;
+        ] );
       ( "tails",
         [
           Alcotest.test_case "ws p99 < fifo p99 at 16 procs" `Quick

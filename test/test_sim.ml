@@ -259,38 +259,24 @@ let test_idle_accounting () =
 (* ---------------- trace ---------------- *)
 
 let test_trace_records () =
-  P.Machine.enable_trace ();
+  P.Telemetry.enable_memory ();
   ignore
     (P.run (fun () ->
          P.Work.alloc ~words:(cfg.Sim.Sim_config.gc_region_words + 10)));
-  let t = Option.get (P.Machine.trace ()) in
-  let evs = Sim.Sim_trace.events t in
+  let evs = P.Telemetry.events () in
   checkb "dispatches recorded" true
-    (List.exists (function Sim.Sim_trace.Dispatch _ -> true | _ -> false) evs);
+    (List.exists (function Obs.Event.Dispatch _ -> true | _ -> false) evs);
   checkb "gc recorded" true
-    (List.exists (function Sim.Sim_trace.Gc_start _ -> true | _ -> false) evs);
+    (List.exists (function Obs.Event.Gc_start _ -> true | _ -> false) evs);
   checkb "free recorded" true
-    (List.exists (function Sim.Sim_trace.Freed _ -> true | _ -> false) evs);
+    (List.exists (function Obs.Event.Freed _ -> true | _ -> false) evs);
   (* clocks are non-decreasing *)
-  let clocks = List.map Sim.Sim_trace.clock_of evs in
+  let clocks = List.map Obs.Event.clock_of evs in
   checkb "monotone clocks" true
     (List.for_all2 ( <= )
        (List.filteri (fun i _ -> i < List.length clocks - 1) clocks)
        (List.tl clocks));
-  P.Machine.disable_trace ()
-
-let test_trace_ring_bounds () =
-  let t = Sim.Sim_trace.create ~capacity:4 in
-  for i = 1 to 10 do
-    Sim.Sim_trace.record t (Sim.Sim_trace.Dispatch { proc = i; clock = i })
-  done;
-  check "bounded" 4 (Sim.Sim_trace.length t);
-  check "total counted" 10 (Sim.Sim_trace.total_recorded t);
-  (match Sim.Sim_trace.events t with
-  | Sim.Sim_trace.Dispatch { proc = 7; _ } :: _ -> ()
-  | _ -> Alcotest.fail "ring should retain the most recent events");
-  Sim.Sim_trace.clear t;
-  check "cleared" 0 (Sim.Sim_trace.length t)
+  P.Telemetry.disable ()
 
 (* ---------------- ready heap ---------------- *)
 
@@ -473,17 +459,16 @@ let test_run_ahead_equivalence_2_8 () =
        (fun bench -> [ (bench, 2); (bench, 8) ])
        [ "allpairs"; "mst"; "abisort"; "simple"; "mm"; "seq" ])
 
-(* The horizon assertion mode ([horizon_debug], the heap_debug analogue for
-   interaction horizons) re-evaluates every poller readiness probe and
-   cross-checks the ready heap at each coalesced quantum; with it enabled
-   the machine must still reproduce the golden table bit-for-bit. *)
+(* The debug mode ([heap_debug]) checks the ready heap after every
+   scheduler operation, including each coalesced idle quantum, and
+   re-evaluates every poller readiness probe; with it enabled the machine
+   must still reproduce the golden table bit-for-bit. *)
 module HDbg =
   Sim.Mp_sim.Int (struct
       let config =
         {
           (Sim.Sim_config.sequent ~procs:16 ()) with
-          Sim.Sim_config.horizon_debug = true;
-          heap_debug = true;
+          Sim.Sim_config.heap_debug = true;
         }
     end)
     ()
@@ -753,7 +738,6 @@ let prop_minor_pp_invariants =
                  survival;
                  cycles_per_word = 2.0;
                  fixed_cycles = 100;
-                 parallelism = 1.0;
                  minor_fixed_cycles = 10;
                  barrier_cycles = 5;
                })
@@ -1073,7 +1057,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "records events" `Quick test_trace_records;
-          Alcotest.test_case "ring bounds" `Quick test_trace_ring_bounds;
         ] );
       ( "ready heap",
         [
