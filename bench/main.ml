@@ -2,7 +2,8 @@
    evaluation (sections E1-E7, see DESIGN.md) and runs Bechamel
    microbenchmarks of the thread/lock primitives (M1-M6).
 
-   Usage: dune exec bench/main.exe [-- --quick] [-- --json] [-- --sched P]
+   Usage: dune exec bench/main.exe -- [--quick] [--json] [--jobs N]
+   [--sched P]; unknown flags are rejected.
    --quick runs a reduced proc sweep (1,4,16) for faster iteration.
    --json additionally writes BENCH_sim.json: host-time cost of the
    simulator core (seconds, scheduler decisions, effect-handler
@@ -228,24 +229,23 @@ let print_ablations () =
   Report.Render.section fmt
     "Ablations: run-queue discipline and concurrent GC (paper §7 future work)";
   (* central (Figure 3) vs distributed (evaluation package) run queue *)
-  let time_rq run_queue bench =
-    (match bench with
-    | `Mm -> ignore (BSeq.mm ~procs:16 ~run_queue ())
-    | `Allpairs -> ignore (BSeq.allpairs ~procs:16 ~run_queue ()));
+  let time_rq sched bench =
+    ignore (BSeq.run_named ~sched bench ~procs:16);
     (Seq16.stats ()).Mp.Stats.elapsed
   in
   let rq_rows =
     List.map
-      (fun (name, bench) ->
-        let central = time_rq `Central bench in
-        let distributed = time_rq `Distributed bench in
+      (fun bench ->
+        (* the Figure-3 central queue's discipline is central LIFO *)
+        let central = time_rq Mpthreads.Sched_policy.Lifo bench in
+        let distributed = time_rq Mpthreads.Sched_policy.Distributed bench in
         [
-          name;
+          bench;
           Printf.sprintf "%.3fs" central;
           Printf.sprintf "%.3fs" distributed;
           Printf.sprintf "%.2fx" (central /. distributed);
         ])
-      [ ("mm", `Mm); ("allpairs", `Allpairs) ]
+      [ "mm"; "allpairs" ]
   in
   Format.fprintf fmt "run queue at 16 procs (central = Figure 3 baseline):@.";
   Report.Render.table fmt
@@ -707,36 +707,32 @@ let write_sim_json rows counters path =
   close_out oc;
   Format.fprintf fmt "@.wrote %s@." path
 
-(* [--jobs N] (or MP_REPRO_JOBS) fans the independent sweep cells —
-   sim-core rows, fig6/SGI grid cells, the lock-algorithm comparison —
-   across N host domains; all printed/written results are identical for
-   every N. *)
-let parse_jobs argv =
-  let explicit = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--jobs" && i + 1 < Array.length argv then
-        explicit := int_of_string_opt argv.(i + 1))
-    argv;
-  Exec.Job_pool.resolve_jobs !explicit
-
-(* [--sched P] (or MP_REPRO_SCHED) selects the scheduling policy for the
-   fig6/SGI sweeps and the lock-scaling grid; the sim-core grid always
-   sweeps its own explicit scheduler axis. *)
-let parse_sched argv =
-  let explicit = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--sched" && i + 1 < Array.length argv then
-        explicit := Some argv.(i + 1))
-    argv;
-  Mpthreads.Sched_policy.resolve ?explicit:!explicit ()
-
 let () =
-  let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
-  let json = Array.exists (fun a -> a = "--json") Sys.argv in
-  let jobs = parse_jobs Sys.argv in
-  let sched = parse_sched Sys.argv in
+  let quick = ref false and json = ref false in
+  let jobs = ref None and sched = ref None in
+  Arg.parse
+    [
+      ("--quick", Arg.Set quick, " reduced proc sweep (1,4,16)");
+      ( "--json",
+        Arg.Set json,
+        " also write BENCH_sim.json and BENCH_server.json into the cwd" );
+      (* fans the independent sweep cells -- sim-core rows, fig6/SGI grid
+         cells, the lock-algorithm comparison -- across N host domains;
+         all printed/written results are identical for every N *)
+      ( "--jobs",
+        Arg.Int (fun n -> jobs := Some n),
+        "N host domains for the sweeps (default $MP_REPRO_JOBS or 1)" );
+      (* the sim-core grid always sweeps its own explicit scheduler axis *)
+      ( "--sched",
+        Arg.String (fun p -> sched := Some p),
+        "POLICY scheduler for the fig6/SGI sweeps and lock scaling (default \
+         $MP_REPRO_SCHED or distributed)" );
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "main.exe [--quick] [--json] [--jobs N] [--sched POLICY]";
+  let quick = !quick and json = !json in
+  let jobs = Exec.Job_pool.resolve_jobs !jobs in
+  let sched = Mpthreads.Sched_policy.resolve ?explicit:!sched () in
   let sched_str = Mpthreads.Sched_policy.to_string sched in
   let plist = if quick then Some [ 1; 4; 16 ] else None in
   Format.fprintf fmt
@@ -768,7 +764,7 @@ let () =
   Report.Experiments.print_lock_latency fmt;
   Report.Experiments.print_portability fmt;
   let samples =
-    Report.Experiments.sequent_sweep ?plist ~jobs ~sched:sched_str ()
+    Report.Experiments.sweep ?plist ~jobs ~sched:sched_str "sequent"
   in
   Report.Experiments.print_fig6 fmt samples;
   Report.Experiments.print_idle fmt samples;
@@ -779,9 +775,9 @@ let () =
   print_lock_scaling ~jobs ~sched ();
   print_sensitivity ();
   let sgi =
-    Report.Experiments.sgi_sweep
+    Report.Experiments.sweep
       ?plist:(if quick then Some [ 1; 4; 8 ] else None)
-      ~jobs ~sched:sched_str ()
+      ~jobs ~sched:sched_str "sgi"
   in
   Report.Experiments.print_sgi fmt sgi;
   (* Host-side parallel-driver telemetry (to stderr: the values — batch

@@ -54,17 +54,17 @@ let golden_cell (name, procs) =
     (Seq16.Machine.sched_decisions ())
     host
 
-let parse_jobs argv =
-  let explicit = ref None in
-  Array.iteri
-    (fun i a ->
-      if a = "--jobs" && i + 1 < Array.length argv then
-        explicit := int_of_string_opt argv.(i + 1))
-    argv;
-  Exec.Job_pool.resolve_jobs !explicit
-
 let () =
-  let jobs = parse_jobs Sys.argv in
+  let jobs = ref None in
+  Arg.parse
+    [
+      ( "--jobs",
+        Arg.Int (fun n -> jobs := Some n),
+        "N host domains for the cells (default $MP_REPRO_JOBS or 1)" );
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "sim_golden.exe [--jobs N]";
+  let jobs = Exec.Job_pool.resolve_jobs !jobs in
   let names =
     let module B0 =
       Workloads.Bench_suite.Make

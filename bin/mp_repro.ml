@@ -22,7 +22,7 @@ let procs_arg =
   Arg.(value & opt (some (list int)) None & info [ "procs" ] ~doc)
 
 let quick_arg =
-  let doc = "Reduced sweep (1,4,16)." in
+  let doc = "Reduced sweep (1,4,16,64, clamped to the machine size)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
 let jobs_arg =
@@ -74,45 +74,27 @@ let machine_arg =
 let trace_arg =
   let doc =
     "Stream telemetry events (scheduler, lock, GC, ...) to $(docv) as JSONL \
-     while the experiment runs.  Large for full sweeps; combine with \
-     $(b,--quick) for a bounded file."
+     while the experiment runs.  Works with every $(b,--machine), \
+     $(b,--sched) and $(b,--gc) and leaves the printed results unchanged; \
+     the traced sweep runs its cells sequentially, whatever $(b,--jobs) \
+     says.  Large for full sweeps; combine with $(b,--quick) for a \
+     bounded file."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let maybe_trace trace go =
-  match trace with
-  | None -> go ()
-  | Some path -> Report.Experiments.trace_sequent path go
+(* --quick asks for the powers of four, which the sweep clamps to the
+   machine: 1,4,16 on the Sequent, 1,4 on the SGI. *)
+let quick_plist quick procs =
+  if quick && procs = None then Some [ 1; 4; 16; 64 ] else procs
 
-let plist_of quick procs =
-  match procs with
-  | Some l -> Some l
-  | None -> if quick then Some [ 1; 4; 16 ] else None
-
-(* A sweep routed by machine: the flat Sequent keeps its dedicated (cached,
-   traceable) driver; any other machine goes through the parameterized
-   machine sweep.  --quick on a >16-proc machine trims the tail of the
-   powers-of-four list rather than using the flat 1,4,16 grid. *)
-let sweep ?machine quick procs jobs sched gc =
-  let sched = resolve_sched sched in
-  let gc = resolve_gc gc in
-  match machine with
-  | None | Some "sequent" ->
-      Report.Experiments.sequent_sweep ?plist:(plist_of quick procs) ?jobs
-        ~sched ~gc ()
-  | Some machine ->
-      let plist =
-        match procs with
-        | Some l -> Some l
-        | None -> if quick then Some [ 1; 4; 16; 64 ] else None
-      in
-      Report.Experiments.machine_sweep ?plist ?jobs ~sched ~gc ~machine ()
+let sweep ?trace ?(machine = "sequent") quick procs jobs sched gc =
+  Report.Experiments.sweep ?plist:(quick_plist quick procs) ?jobs
+    ~sched:(resolve_sched sched) ~gc:(resolve_gc gc) ?trace machine
 
 let fig6_cmd =
   let run quick procs jobs sched gc machine trace =
-    maybe_trace trace (fun () ->
-        Report.Experiments.print_fig6 fmt
-          (sweep ?machine quick procs jobs sched gc))
+    Report.Experiments.print_fig6 fmt
+      (sweep ?trace ?machine quick procs jobs sched gc)
   in
   Cmd.v (Cmd.info "fig6" ~doc:"Self-relative speedup curves (Figure 6)")
     Term.(
@@ -149,14 +131,9 @@ let gc_cmd =
 
 let gc_sweep_cmd =
   let run quick procs jobs sched machine =
-    let plist =
-      match procs with
-      | Some l -> Some l
-      | None -> if quick then Some [ 1; 4; 16 ] else None
-    in
     Report.Experiments.print_gc_models fmt
-      (Report.Experiments.gc_sweep ?plist ?jobs ~sched:(resolve_sched sched)
-         ?machine ())
+      (Report.Experiments.gc_sweep ?plist:(quick_plist quick procs) ?jobs
+         ~sched:(resolve_sched sched) ?machine ())
   in
   Cmd.v
     (Cmd.info "gc_sweep"
@@ -169,10 +146,8 @@ let gc_sweep_cmd =
 
 let sgi_cmd =
   let run quick procs jobs sched gc =
-    let plist = plist_of quick procs in
     Report.Experiments.print_sgi fmt
-      (Report.Experiments.sgi_sweep ?plist ?jobs ~sched:(resolve_sched sched)
-         ~gc:(resolve_gc gc) ())
+      (sweep ~machine:"sgi" quick procs jobs sched gc)
   in
   Cmd.v (Cmd.info "sgi" ~doc:"The SGI machine model sweep (E7)")
     Term.(const run $ quick_arg $ procs_arg $ jobs_arg $ sched_arg $ gc_arg)
@@ -220,16 +195,15 @@ let all_cmd =
   let run quick procs jobs sched gc machine trace =
     Report.Experiments.print_lock_latency fmt;
     Report.Experiments.print_portability fmt;
-    maybe_trace trace (fun () ->
-        let s = sweep ?machine quick procs jobs sched gc in
-        Report.Experiments.print_fig6 fmt s;
-        Report.Experiments.print_idle fmt s;
-        Report.Experiments.print_bus fmt s;
-        Report.Experiments.print_gc_ablation fmt s);
+    let s = sweep ?trace ?machine quick procs jobs sched gc in
+    Report.Experiments.print_fig6 fmt s;
+    Report.Experiments.print_idle fmt s;
+    Report.Experiments.print_bus fmt s;
+    Report.Experiments.print_gc_ablation fmt s;
     Report.Experiments.print_sgi fmt
-      (Report.Experiments.sgi_sweep
-         ?plist:(if quick then Some [ 1; 4; 8 ] else None)
-         ?jobs ~sched:(resolve_sched sched) ~gc:(resolve_gc gc) ())
+      (sweep ~machine:"sgi" quick
+         (if quick then Some [ 1; 4; 8 ] else None)
+         jobs sched gc)
   in
   Cmd.v (Cmd.info "all" ~doc:"Every evaluation section")
     Term.(

@@ -1,10 +1,10 @@
 (** Experiment drivers: everything needed to regenerate the paper's
     evaluation (see DESIGN.md's per-experiment index E1–E7).
 
-    The sweeps run the five Figure-6 benchmarks plus [seq] on the simulated
-    Sequent Symmetry (and the SGI model for E7), collect per-run statistics,
-    and verify every parallel result against the sequential reference
-    implementations. *)
+    One {!sweep} runs the five Figure-6 benchmarks plus [seq] on any
+    simulated machine (the Sequent Symmetry for E1, the SGI model for E7),
+    collects per-run statistics, and verifies every parallel result against
+    the sequential reference implementations. *)
 
 type sample = {
   machine : string;
@@ -14,6 +14,9 @@ type sample = {
   bench : string;
   procs : int;
   elapsed : float;  (** virtual seconds *)
+  seq_base : float;
+      (** [seq] only: virtual seconds of the same [procs] copies on one proc,
+          its self-relative baseline; [0.] for every other benchmark *)
   gc : float;
   gc_count : int;  (** minor + major collections *)
   gc_minor : int;  (** proc-local minor collections (0 under stw/par_stw) *)
@@ -30,53 +33,36 @@ type sample = {
 val default_procs : int list
 (** 1, 2, 4, 6, 8, 10, 12, 14, 16 — Figure 6's x axis. *)
 
-val sequent_sweep :
+val sweep :
   ?plist:int list ->
   ?jobs:int ->
   ?sched:string ->
   ?gc:string ->
-  unit ->
+  ?trace:string ->
+  string ->
   sample list
-(** Full sweep on the 16-processor Sequent model (cached per
-    (policy, collector) after first call).
+(** [sweep machine] runs the Figure-6 grid (every benchmark at every proc
+    count) on any {!Sim.Sim_config.of_machine_string} selector
+    (["sequent"], ["sgi"], ["numa:<nodes>x<procs>"], ["numa1024"]), one
+    private machine instance per (bench, procs) cell.
 
-    [sched] is the scheduling policy for every pool in the sweep, in
-    {!Mpthreads.Sched_policy.of_string} syntax; default ["distributed"].
-    [gc] is the GC cost model in {!Sim.Gc_model.of_string} syntax; default
-    ["stw"].  Traced sweeps (a sink attached via {!trace_sequent}) always
-    run on the shared default-policy, default-collector machine.
+    [plist] defaults to {!default_procs} on machines of at most 16 procs
+    and to the powers of four [1; 4; 16; 64; 256; 1024] on larger ones;
+    either way it is clamped to the machine size.  [sched] is the
+    scheduling policy for every pool, in {!Mpthreads.Sched_policy.of_string}
+    syntax (default ["distributed"]); [gc] is the GC cost model in
+    {!Sim.Gc_model.of_string} syntax (default ["stw"]).
 
-    [jobs] fans the grid's (bench, procs) cells across that many host
-    domains via {!Exec.Job_pool} — every cell runs on a private machine
-    instance and results are merged back in grid order, so the returned
-    samples (and all output rendered from them) are identical for every
-    [jobs] value.  Defaults to [MP_REPRO_JOBS] or 1.  When a trace sink is
-    attached (see {!trace_sequent}) the sweep runs sequentially on the
-    shared traced machine regardless of [jobs]. *)
+    [jobs] fans the cells across that many host domains via
+    {!Exec.Job_pool}; results are merged back in grid order, so the
+    returned samples (and all output rendered from them) are identical for
+    every [jobs] value.  Defaults to [MP_REPRO_JOBS] or 1.
 
-val sgi_sweep :
-  ?plist:int list ->
-  ?jobs:int ->
-  ?sched:string ->
-  ?gc:string ->
-  unit ->
-  sample list
-(** Sweep on the 8-processor SGI model (cached); [jobs], [sched] and [gc]
-    as in {!sequent_sweep}. *)
-
-val machine_sweep :
-  ?plist:int list ->
-  ?jobs:int ->
-  ?sched:string ->
-  ?gc:string ->
-  machine:string ->
-  unit ->
-  sample list
-(** Sweep on any {!Sim.Sim_config.of_machine_string} selector (["sequent"],
-    ["sgi"], ["numa:<nodes>x<procs>"], ["numa1024"]); cached per
-    (machine, sched, gc).  Machines larger than 16 procs default to the
-    powers-of-four proc list [1; 4; 16; 64; 256; 1024] clamped to the
-    machine size; [jobs], [sched] and [gc] as in {!sequent_sweep}. *)
+    [trace] streams every cell's telemetry (scheduler, proc, lock, GC, and
+    client-layer sync events) to that file as JSONL, one event per line.
+    It works with every machine, policy and collector and leaves the
+    samples unchanged; a traced sweep runs its cells sequentially, in grid
+    order, whatever [jobs] says. *)
 
 val gc_models : string list
 (** The three collectors of the E8 headroom replay:
@@ -89,17 +75,13 @@ val gc_sweep :
   ?machine:string ->
   unit ->
   (string * sample list) list
-(** One {!machine_sweep} per collector in {!gc_models} on the same machine
+(** One {!sweep} per collector in {!gc_models} on the same machine
     (default ["sequent"]) and schedule, for the paper-§6.2 "how much does
     the sequential stop-the-world collector cost us" replay (E8). *)
 
-val trace_sequent : string -> (unit -> 'a) -> 'a
-(** [trace_sequent path f] runs [f] with the Sequent platform's telemetry
-    streaming to [path] as JSONL, one event per line; flushes and detaches
-    the sink on the way out (even on exceptions). *)
-
 val speedup : sample list -> bench:string -> procs:int -> float
-(** Self-relative speedup vs the 1-proc sample of the same benchmark. *)
+(** Self-relative speedup vs the 1-proc sample of the same benchmark
+    ([seq]: vs its {!field-seq_base}). *)
 
 val speedup_no_gc : sample list -> bench:string -> procs:int -> float
 (** Speedup with collection time excluded from both runs (E6). *)

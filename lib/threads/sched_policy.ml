@@ -118,10 +118,10 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     let steal_attempts _ = 0
   end
 
-  (* One shared slot, enqueue and dequeue both at the front.  This is what
-     the scheduler's old [~run_queue:`Central] mode did (slot-0 push_front
-     + pop_front), so `Central` maps here and keeps its historical
-     behavior bit-for-bit. *)
+  (* One shared slot, enqueue and dequeue both at the front (slot-0
+     push_front + pop_front): the Figure-3 central queue's historical
+     discipline, bit-for-bit, and the "central" column of the run-queue
+     ablation. *)
   module Central_lifo : Thread_intf.SCHEDULER = struct
     let name = "lifo"
 

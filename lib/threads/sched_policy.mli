@@ -12,7 +12,7 @@
       contending on its single lock.  The baseline stealing is measured
       against.
     - [Lifo] — one central queue, enqueue and dequeue at the front.
-      Exactly the historical [~run_queue:`Central] behavior.
+      Exactly the historical Figure-3 central-queue behavior.
     - [Distributed] (default) — the pre-existing per-proc locked deques
       with rotating-scan steal-one.  Bit-identical goldens.
     - [Ws] — multiprogrammed work stealing: per-proc lock-free SPMC

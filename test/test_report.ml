@@ -207,7 +207,7 @@ let test_model_fit () =
 
 (* ---------------- experiments (reduced sweep) ---------------- *)
 
-let samples = lazy (Report.Experiments.sequent_sweep ~plist:[ 1; 4 ] ())
+let samples = lazy (Report.Experiments.sweep ~plist:[ 1; 4 ] "sequent")
 
 let test_sweep_all_verified () =
   let s = Lazy.force samples in
@@ -251,8 +251,35 @@ let test_sweep_speedup_monotone () =
    sequential driver produces. *)
 let test_sweep_jobs_deterministic () =
   let s1 = Lazy.force samples in
-  let s2 = Report.Experiments.sequent_sweep ~plist:[ 1; 4 ] ~jobs:2 () in
+  let s2 = Report.Experiments.sweep ~plist:[ 1; 4 ] ~jobs:2 "sequent" in
   checkb "jobs=2 sample list identical to jobs=1" true (s1 = s2)
+
+(* Tracing is not a separate mode: a traced sweep on a non-default machine
+   and policy returns exactly the untraced samples, labelled with that
+   machine and policy, and its JSONL holds the scheduler, lock and GC
+   events of those cells. *)
+let test_sweep_traced_numa_ws () =
+  let sweep ?trace () =
+    Report.Experiments.sweep ~plist:[ 1; 4 ] ~sched:"ws" ?trace "numa:2x8"
+  in
+  let path = Filename.temp_file "sweep_trace" ".jsonl" in
+  let traced = sweep ~trace:path () in
+  let ic = open_in path in
+  let trace = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  checkb "traced samples identical to untraced" true (traced = sweep ());
+  checkb "every sample names numa:2x8 and ws" true
+    (List.for_all
+       (fun x ->
+         x.Report.Experiments.machine = "numa:2x8"
+         && x.Report.Experiments.sched = "ws")
+       traced);
+  List.iter
+    (fun cat ->
+      checkb (cat ^ " events in the trace") true
+        (contains trace (Printf.sprintf "\"cat\":\"%s\"" cat)))
+    [ "sched"; "lock"; "gc" ]
 
 let test_print_sections_smoke () =
   let s = Lazy.force samples in
@@ -309,6 +336,8 @@ let () =
           Alcotest.test_case "parallel driver deterministic" `Slow
             test_sweep_jobs_deterministic;
           Alcotest.test_case "gc exclusion" `Slow test_sweep_no_gc_at_least_as_fast;
+          Alcotest.test_case "traced numa ws sweep" `Slow
+            test_sweep_traced_numa_ws;
           Alcotest.test_case "print sections" `Slow test_print_sections_smoke;
         ] );
     ]
