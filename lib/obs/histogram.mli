@@ -49,10 +49,6 @@ val nonzero_buckets : t -> (int * int) list
 (** [(bucket_lower_bound, count)] for every non-empty bucket, ascending —
     a deterministic digest of the full distribution. *)
 
-val to_json : t -> string
-(** One JSON object: count/sum/min/max, p50/p95/p99/p999, and the
-    [nonzero_buckets] list.  Deterministic. *)
-
 (** {2 Named registry}
 
     Mirrors {!Counters}: find-or-create under a mutex, resolve handles once,

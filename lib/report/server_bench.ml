@@ -19,7 +19,6 @@ type cell = {
   p999_ns : int;
   mean_ns : float;
   queue_wait : float;
-  buckets : (int * int) list;
 }
 
 let schedulers = [ "fifo"; "distributed"; "ws" ]
@@ -64,10 +63,7 @@ let run_cell ~machine ~config (sched, procs, rate) =
     p999_ns = r.Workloads.Server.p999;
     mean_ns = Obs.Histogram.mean r.Workloads.Server.hist;
     queue_wait = r.Workloads.Server.queue_wait;
-    buckets = Obs.Histogram.nonzero_buckets r.Workloads.Server.hist;
   }
-
-let resolve_jobs jobs = Exec.Job_pool.resolve_jobs jobs
 
 let grid ?(quick = false) ?jobs ?(machine = "sequent") () =
   let config = base_config ~quick in
@@ -76,7 +72,7 @@ let grid ?(quick = false) ?jobs ?(machine = "sequent") () =
       (fun sched -> List.map (fun procs -> (sched, procs, config.Workloads.Server.rate)) grid_procs)
       schedulers
   in
-  Exec.Job_pool.map ~jobs:(resolve_jobs jobs) (run_cell ~machine ~config) cells
+  Exec.Job_pool.map ~jobs:(Exec.Job_pool.resolve_jobs jobs) (run_cell ~machine ~config) cells
 
 let ramp ?(quick = false) ?jobs ?(machine = "sequent") ?(procs = 16) () =
   let config = base_config ~quick in
@@ -85,7 +81,7 @@ let ramp ?(quick = false) ?jobs ?(machine = "sequent") ?(procs = 16) () =
       (fun sched -> List.map (fun rate -> (sched, procs, rate)) (ramp_rates ~quick))
       schedulers
   in
-  Exec.Job_pool.map ~jobs:(resolve_jobs jobs) (run_cell ~machine ~config) cells
+  Exec.Job_pool.map ~jobs:(Exec.Job_pool.resolve_jobs jobs) (run_cell ~machine ~config) cells
 
 (* Saturation knee of one scheduler's ramp: the lowest offered load whose
    p99 exceeds 5x the p99 at the lightest load — i.e. where queueing

@@ -18,7 +18,6 @@ type cell = {
   p999_ns : int;
   mean_ns : float;
   queue_wait : float;  (** producer seconds blocked on full shard queues *)
-  buckets : (int * int) list;  (** latency histogram digest *)
 }
 
 val schedulers : string list

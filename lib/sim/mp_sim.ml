@@ -80,10 +80,10 @@ struct
   type Engine.action +=
     | A_work of work_op list * unit Engine.cont
         (* previous op committed; remaining ops pending *)
-    | A_lock_probe of word * int * lock_kont
-        (* probe RMW committed; the held-test is pending *)
-    | A_lock_wait of word * int * lock_kont
-        (* spin-retry delay committed; the next probe is pending *)
+    | A_lock of word * bool * int * lock_kont
+        (* [A_lock (l, probed, attempt, kont)]: the probe RMW committed and
+           the held-test pending ([probed]), or the spin-retry delay
+           committed and the next probe pending; [attempt] probes failed *)
     | A_unlock of word * unit Engine.cont
         (* unlock RMW committed; the release write is pending *)
 
@@ -185,17 +185,6 @@ struct
   let trace_event = Telemetry.emit
   let observe_clock n = if n > !max_clock then max_clock := n
 
-  (* Real-time watchdog for debugging client deadlocks: dump proc states if
-     the simulation makes this many scheduling decisions without finishing. *)
-  let debug_iterations =
-    match Sys.getenv_opt "MP_SIM_DEBUG_ITERS" with
-    | Some v -> int_of_string_opt v
-    | None -> None
-
-  (* The watchdog counts scheduling decisions, so when it is armed every
-     charge must go through the scheduler. *)
-  let run_ahead_enabled = config.run_ahead && debug_iterations = None
-
   (* ------------------------------------------------------------------ *)
   (* Ready-set maintenance.                                             *)
   (* ------------------------------------------------------------------ *)
@@ -219,10 +208,6 @@ struct
     p.state <- Ready a;
     Ready_heap.push ready ~clock:p.clock ~id:p.id p;
     check_heap ()
-
-  let yield_ready p c =
-    set_ready p (Engine.Resume (c, ()));
-    A_yield
 
   (* ------------------------------------------------------------------ *)
   (* Cost quotes.                                                       *)
@@ -314,7 +299,7 @@ struct
      (a transfer takes at least one cycle), so a failed attempt — the
      common case under contention — costs a few compares and no quote. *)
   let inline_op p ~cpu ~bytes ~invals ~idle =
-    run_ahead_enabled
+    config.run_ahead
     && (not !gc_pending)
     && Ready_heap.precedes_min ready
          ~clock:(if bytes = 0 then p.clock + cpu else p.clock + cpu + 1)
@@ -330,26 +315,32 @@ struct
          true
        end
 
-  (* The suspend path commits the same quote at the same position: in the
-     suspend body, or in a scheduler-side episode machine. *)
+  (* The suspend path commits the same quote at the same position: in a
+     scheduler-side episode machine, or in the fiber just before it
+     suspends — a suspend body runs at once, before any other proc, so no
+     one can tell the two apart. *)
   let apply_op p ~cpu ~bytes ~invals ~idle =
     quote p ~cpu ~bytes ~invals ~idle;
     commit p
 
-  (* A suspend body runs at once, before any other proc, so a fiber can
-     quote before suspending and the body finds that quote still in the
-     scratch: one closure for every suspending charge, not one per call. *)
-  let commit_and_yield c =
-    let p = cur () in
-    commit p;
-    yield_ready p c
+  (* Commit one op: through the gate ([true]: keep going within this
+     dispatch), or as the suspend path would ([false]: the caller parks or
+     re-queues the proc at its new key). *)
+  let step_op p ~cpu ~bytes ~invals ~idle =
+    inline_op p ~cpu ~bytes ~invals ~idle
+    || begin
+         apply_op p ~cpu ~bytes ~invals ~idle;
+         false
+       end
 
-  (* Fiber side: gate + commit, else quote, suspend + commit. *)
+  (* The fiber's suspension after a refused op: re-queue at the committed
+     key.  One static closure serves every suspending charge. *)
+  let requeue c =
+    set_ready (cur ()) (Engine.Resume (c, ()));
+    A_yield
+
   let charge_op p ~cpu ~bytes ~invals ~idle =
-    if not (inline_op p ~cpu ~bytes ~invals ~idle) then begin
-      quote p ~cpu ~bytes ~invals ~idle;
-      Engine.suspend commit_and_yield
-    end
+    if not (step_op p ~cpu ~bytes ~invals ~idle) then Engine.suspend requeue
 
   let charge_cpu ~idle n =
     if n > 0 then charge_op (cur ()) ~cpu:n ~bytes:0 ~invals:0 ~idle
@@ -406,13 +397,16 @@ struct
         trace_event (Obs.Event.Gc_end { clock = p.clock; duration = pause })
     end
 
-  let op_inline p = function
-    | W_charge n -> n <= 0 || inline_op p ~cpu:n ~bytes:0 ~invals:0 ~idle:false
-    | W_alloc w -> w <= 0 || alloc_inline p w
-
-  let op_apply p = function
-    | W_charge n -> apply_op p ~cpu:n ~bytes:0 ~invals:0 ~idle:false
-    | W_alloc w -> alloc_apply p w
+  (* [step_op] for one op of a work program. *)
+  let op_step p = function
+    | W_charge n -> n <= 0 || step_op p ~cpu:n ~bytes:0 ~invals:0 ~idle:false
+    | W_alloc w ->
+        w <= 0
+        || alloc_inline p w
+        || begin
+             alloc_apply p w;
+             false
+           end
 
   let alloc_slices words =
     let ops = ref [] in
@@ -424,14 +418,14 @@ struct
     done;
     List.rev !ops
 
-  (* Deterministic per-proc, per-attempt jitter on the retry delay breaks
-     the phase-locking that a fixed period can produce under the
-     deterministic min-clock scheduler (a spinning proc could otherwise
-     probe forever exactly inside other procs' hold windows). *)
+  (* The delay before proc [proc]'s next probe after its [attempt]th failed
+     one: [spin_retry_cycles] plus a deterministic jitter of
+     [(proc * 37 + attempt * 13) mod 101] cycles.  The jitter breaks the
+     phase-locking that a fixed period can produce under the deterministic
+     min-clock scheduler (a spinning proc could otherwise probe forever
+     exactly inside other procs' hold windows). *)
   let retry_delay proc attempt =
-    config.spin_retry_cycles
-    + (((proc * config.spin_jitter_proc) + (attempt * config.spin_jitter_attempt))
-      mod config.spin_jitter_mod)
+    config.spin_retry_cycles + (((proc * 37) + (attempt * 13)) mod 101)
 
   let note_acquired p attempt =
     incr lock_acquires_ct;
@@ -440,6 +434,45 @@ struct
       if attempt > 0 then
         trace_event
           (Obs.Event.Lock_contended { proc = p.id; clock = p.clock; spins = attempt })
+    end
+
+  (* ------------------------------------------------------------------ *)
+  (* Episode machines, run by the fiber until the first refused op and    *)
+  (* then by the scheduler from the position the fiber parked at.  Each   *)
+  (* step is what the reference fiber does during one dispatch: the       *)
+  (* run-ahead gate and commit, else the suspend path's commit.           *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Work programs: commit ops through the gate.  [None] once the program
+     is done; otherwise the first refused op has been committed as the
+     suspend path would and the rest is returned to park with. *)
+  let rec drain p = function
+    | [] -> None
+    | op :: rest -> if op_step p op then drain p rest else Some rest
+
+  (* Spin locks, from the position [(probed, attempt)]: the probe committed
+     and the held-test pending ([probed]), or the next probe pending, after
+     [attempt] failed probes.  [None] once the lock is acquired; otherwise
+     the refused op (probe or retry delay) has been committed and the
+     position to park at is returned. *)
+  let rec spin p l ~probed attempt =
+    if not probed then
+      if
+        step_op p ~cpu:config.try_lock_cycles ~bytes:config.lock_bus_bytes
+          ~invals:(claim p l) ~idle:false
+      then spin p l ~probed:true attempt
+      else Some (true, attempt)
+    else if l.held then begin
+      p.spins <- p.spins + 1;
+      let attempt = attempt + 1 in
+      if step_op p ~cpu:(retry_delay p.id attempt) ~bytes:0 ~invals:0 ~idle:false
+      then spin p l ~probed:false attempt
+      else Some (false, attempt)
+    end
+    else begin
+      l.held <- true;
+      note_acquired p attempt;
+      None
     end
 
   (* ------------------------------------------------------------------ *)
@@ -552,63 +585,16 @@ struct
       end
     done
 
-  (* ------------------------------------------------------------------ *)
-  (* Scheduler-side episode machines.  Each step is what the reference    *)
-  (* fiber does during one dispatch: the run-ahead gate and commit, else  *)
-  (* the suspend path's commit followed by a re-queue.                    *)
-  (* ------------------------------------------------------------------ *)
-
-  let rec work_dispatch p ops k =
-    match ops with
-    | [] -> interp p (Engine.Resume (k, ()))
-    | op :: rest ->
-        if op_inline p op then work_dispatch p rest k
-        else begin
-          op_apply p op;
-          set_ready p (A_work (rest, k))
-        end
-
-  (* Commit one op of an episode: through the gate ([true]: keep going
-     within this dispatch), or as the suspend path would ([false]: the
-     caller re-queues the proc at its new key). *)
-  let step_op p ~cpu ~bytes ~invals =
-    inline_op p ~cpu ~bytes ~invals ~idle:false
-    || begin
-         apply_op p ~cpu ~bytes ~invals ~idle:false;
-         false
-       end
-
-  (* Position: probe committed; test the lock. *)
-  let rec lock_probe_result p l attempt kont =
-    if l.held then begin
-      p.spins <- p.spins + 1;
-      let attempt = attempt + 1 in
-      if step_op p ~cpu:(retry_delay p.id attempt) ~bytes:0 ~invals:0 then
-        lock_send_probe p l attempt kont
-      else set_ready p (A_lock_wait (l, attempt, kont))
-    end
-    else begin
-      l.held <- true;
-      note_acquired p attempt;
-      lock_won p l kont
-    end
-
-  (* Position: about to issue the next probe. *)
-  and lock_send_probe p l attempt kont =
-    if
-      step_op p ~cpu:config.try_lock_cycles ~bytes:config.lock_bus_bytes
-        ~invals:(claim p l)
-    then lock_probe_result p l attempt kont
-    else set_ready p (A_lock_probe (l, attempt, kont))
-
-  and lock_won p l kont =
+  (* A parked lock episode has acquired the lock: resume the fiber, or
+     first run its charge-free section and pay the unlock ([K_locked]). *)
+  let lock_won p l kont =
     match kont with
     | K_lock k -> interp p (Engine.Resume (k, ()))
     | K_locked (run, k) ->
         run ();
         if
           step_op p ~cpu:config.unlock_cycles ~bytes:config.lock_bus_bytes
-            ~invals:(claim p l)
+            ~invals:(claim p l) ~idle:false
         then begin
           l.held <- false;
           interp p (Engine.Resume (k, ()))
@@ -618,35 +604,7 @@ struct
   let any_gc_waiting () =
     Array.exists (fun p -> match p.state with Gc_waiting _ -> true | _ -> false) procs
 
-  let iter_count = ref 0
-
-  let dump_states () =
-    let b = Buffer.create 256 in
-    Array.iter
-      (fun p ->
-        Buffer.add_string b
-          (Printf.sprintf "proc %d clock=%d state=%s\n" p.id p.clock
-             (match p.state with
-             | Free -> "Free"
-             | Ready _ -> "Ready"
-             | Current -> "Current"
-             | Gc_waiting _ -> "Gc_waiting")))
-      procs;
-    Buffer.add_string b
-      (Printf.sprintf "region=%d gc_pending=%b bus_free_at=[%s] link_free_at=%d\n"
-         (GcM.region_used ()) !gc_pending
-         (String.concat ";"
-            (Array.to_list (Array.map string_of_int bus_free_at)))
-         !link_free_at);
-    Buffer.contents b
-
   let rec loop () =
-    (match debug_iterations with
-    | Some n ->
-        incr iter_count;
-        if !iter_count mod n = 0 then
-          prerr_string (Printf.sprintf "[sim after %d decisions]\n%s" !iter_count (dump_states ()))
-    | None -> ());
     if not (Ready_heap.is_empty ready) then begin
         let p = Ready_heap.pop_unchecked ready in
         check_heap ();
@@ -667,9 +625,15 @@ struct
           | a -> (
               note_dispatch p;
               match a with
-              | A_work (ops, k) -> work_dispatch p ops k
-              | A_lock_probe (l, attempt, kont) -> lock_probe_result p l attempt kont
-              | A_lock_wait (l, attempt, kont) -> lock_send_probe p l attempt kont
+              | A_work (ops, k) -> (
+                  match drain p ops with
+                  | None -> interp p (Engine.Resume (k, ()))
+                  | Some rest -> set_ready p (A_work (rest, k)))
+              | A_lock (l, probed, attempt, kont) -> (
+                  match spin p l ~probed attempt with
+                  | None -> lock_won p l kont
+                  | Some (probed, attempt) ->
+                      set_ready p (A_lock (l, probed, attempt, kont)))
               | A_unlock (l, k) ->
                   l.held <- false;
                   interp p (Engine.Resume (k, ()))
@@ -767,54 +731,6 @@ struct
         true
       end
 
-    (* One parked lock episode: spin inline exactly as the reference loop
-       below for as long as the gates allow, and on the first gate failure
-       suspend once, handing the rest of the episode (probes, retry
-       delays, held-test, acquisition — and for [K_locked] the critical
-       section and unlock too) to the scheduler's lock machine.  The
-       reference loop costs up to two suspensions per spin iteration; this
-       costs at most one per episode. *)
-    let lock_fast l kont_of =
-      let p = cur () in
-      let cpu = config.try_lock_cycles and bytes = config.lock_bus_bytes in
-      let attempt = ref 0 in
-      let done_ = ref false in
-      let parked = ref false in
-      while not !done_ do
-        let invals = claim p l in
-        if inline_op p ~cpu ~bytes ~invals ~idle:false then begin
-          if l.held then begin
-            p.spins <- p.spins + 1;
-            incr attempt;
-            let d = retry_delay p.id !attempt in
-            if not (inline_op p ~cpu:d ~bytes:0 ~invals:0 ~idle:false) then begin
-              done_ := true;
-              parked := true;
-              quote p ~cpu:d ~bytes:0 ~invals:0 ~idle:false;
-              Engine.suspend (fun c ->
-                  commit p;
-                  set_ready p (A_lock_wait (l, !attempt, kont_of c));
-                  A_yield)
-            end
-          end
-          else begin
-            l.held <- true;
-            done_ := true;
-            note_acquired p !attempt
-          end
-        end
-        else begin
-          done_ := true;
-          parked := true;
-          quote p ~cpu ~bytes ~invals ~idle:false;
-          Engine.suspend (fun c ->
-              commit p;
-              set_ready p (A_lock_probe (l, !attempt, kont_of c));
-              A_yield)
-        end
-      done;
-      !parked
-
     (* Reference spin loop: the always-suspend oracle ([run_ahead = false]). *)
     let lock_ref l =
       let attempt = ref 0 in
@@ -828,8 +744,20 @@ struct
           (Obs.Event.Lock_contended
              { proc = q.id; clock = q.clock; spins = !attempt })
 
+    (* Run-ahead: the fiber runs the [spin] machine until the first
+       refused op, then parks once and the scheduler runs the rest of the
+       episode.  The reference loop costs up to two suspensions per spin
+       iteration; this costs at most one per episode. *)
     let lock l =
-      if run_ahead_enabled then ignore (lock_fast l (fun c -> K_lock c))
+      if config.run_ahead then begin
+        let p = cur () in
+        match spin p l ~probed:false 0 with
+        | None -> ()
+        | Some (probed, attempt) ->
+            Engine.suspend (fun c ->
+                set_ready p (A_lock (l, probed, attempt, K_lock c));
+                A_yield)
+      end
       else lock_ref l
 
     let unlock l =
@@ -840,16 +768,21 @@ struct
        parked episode: under contention the whole sequence costs at most
        one suspension instead of one per probe, retry and unlock. *)
     let locked l f =
-      if run_ahead_enabled then begin
+      if config.run_ahead then begin
+        let p = cur () in
         let res = ref None in
         let run () = res := Some (try Ok (f ()) with e -> Error e) in
-        let parked = lock_fast l (fun c -> K_locked (run, c)) in
-        if not parked then begin
-          (* acquired inline: the fiber pays for the section and unlock,
-             exactly as the reference below *)
-          run ();
-          unlock l
-        end;
+        (match spin p l ~probed:false 0 with
+        | None ->
+            (* acquired inline: the fiber pays for the section and unlock,
+               exactly as the reference below *)
+            run ();
+            unlock l
+        | Some (probed, attempt) ->
+            (* the scheduler also runs the section and the unlock *)
+            Engine.suspend (fun c ->
+                set_ready p (A_lock (l, probed, attempt, K_locked (run, c)));
+                A_yield));
         match !res with
         | Some (Ok v) -> v
         | Some (Error e) -> raise e
@@ -867,35 +800,22 @@ struct
       end
   end
 
-  (* Run a work program from the fiber: ops commit inline while the gate
-     allows; the first gate failure suspends once and hands the remainder
-     to the scheduler's work machine ([work_dispatch]), which services it
-     at the reference positions.  With run-ahead off this is the reference
-     loop, one suspension per op. *)
+  (* Run a work program from the fiber: [drain] commits ops inline while
+     the gate allows, and at the first refused op the fiber parks once; the
+     scheduler drains the rest with the same machine, at the reference
+     positions.  With run-ahead off this is the reference loop, one
+     suspension per op. *)
   let run_ops ops =
     let p = cur () in
-    if run_ahead_enabled then begin
-      let rec go = function
-        | [] -> ()
-        | op :: rest ->
-            if op_inline p op then go rest
-            else
-              (* returns once the machine has drained [rest] *)
-              Engine.suspend (fun c ->
-                  op_apply p op;
-                  set_ready p (A_work (rest, c));
-                  A_yield)
-      in
-      go ops
-    end
-    else
-      List.iter
-        (fun op ->
-          if not (op_inline p op) then
-            Engine.suspend (fun c ->
-                op_apply p op;
-                yield_ready p c))
-        ops
+    if config.run_ahead then
+      match drain p ops with
+      | None -> ()
+      | Some rest ->
+          (* returns once the scheduler has drained [rest] *)
+          Engine.suspend (fun c ->
+              set_ready p (A_work (rest, c));
+              A_yield)
+    else List.iter (fun op -> if not (op_step p op) then Engine.suspend requeue) ops
 
   module Work = struct
     let charge n = charge_cpu ~idle:false n
@@ -947,7 +867,7 @@ struct
        the first check happens one quantum after the call — exactly where
        the reference loop (and the always-suspend twin) evaluates it. *)
     let idle_until ~ready =
-      if run_ahead_enabled then
+      if config.run_ahead then
         Engine.suspend (fun c ->
             let p = cur () in
             apply_op p ~cpu:config.idle_quantum_cycles ~bytes:0 ~invals:0
@@ -1019,7 +939,6 @@ struct
     set "sim.idle_parks" !idle_parks_ct;
     set "sim.idle_polls" !idle_polls_ct;
     set "gc.collections" (gc_collections ());
-    set "gc.cycles" (gc_pause_cycles ());
     set "gc.minor_count" (GcM.minor_collections ());
     set "gc.major_count" (GcM.major_collections ());
     set "gc.pause_cycles" (gc_pause_cycles ());
@@ -1099,9 +1018,7 @@ struct
     let gc_wait_cycles () =
       Array.fold_left (fun acc p -> acc + p.gc_wait) 0 procs
 
-    let nodes () = n_nodes
     let bus_bytes () = !bus_total_bytes
-    let local_bytes () = !bus_total_bytes - !remote_bytes
     let remote_bytes () = !remote_bytes
     let invalidations () = !invalidations
     let bus_busy_cycles () = Array.fold_left ( + ) 0 bus_busy

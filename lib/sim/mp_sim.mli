@@ -79,15 +79,8 @@ end)
     (** Cycles procs spent stalled for GC, summed over procs: barrier
         waits plus their own minor pauses. *)
 
-    val nodes : unit -> int
-    (** Interconnect nodes of the configured machine (1 under
-        [Flat_bus]). *)
-
     val bus_bytes : unit -> int
     (** All bus traffic, node-local and remote. *)
-
-    val local_bytes : unit -> int
-    (** Traffic that stayed on a node-local bus. *)
 
     val remote_bytes : unit -> int
     (** Traffic that crossed the inter-node link (0 under [Flat_bus]). *)
@@ -134,9 +127,7 @@ end)
     val gc_minor_collections : unit -> int
     val gc_major_collections : unit -> int
     val gc_wait_cycles : unit -> int
-    val nodes : unit -> int
     val bus_bytes : unit -> int
-    val local_bytes : unit -> int
     val remote_bytes : unit -> int
     val invalidations : unit -> int
     val bus_busy_cycles : unit -> int

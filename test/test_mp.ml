@@ -482,6 +482,43 @@ struct
     in
     check "no lost updates under the platform lock" expected got
 
+  (* [Lock.locked] under contention, with charge-free sections (its
+     contract) of which every 5th raises: no update is lost, each caller
+     sees its own section's exception, and the lock is free afterwards. *)
+  exception Section of int
+
+  let test_locked_sections () =
+    let iters = 50 in
+    let expected, (updates, seen, free) =
+      P.run (fun () ->
+          let workers = min 2 (P.Proc.max_procs () - 1) in
+          let l = P.Lock.mutex_lock () in
+          let counter = ref 0 in
+          let seen = Atomic.make 0 in
+          let body () =
+            for i = 1 to iters do
+              try
+                P.Lock.locked l (fun () ->
+                    let c = !counter in
+                    Domain.cpu_relax ();
+                    counter := c + 1;
+                    if i mod 5 = 0 then raise (Section i))
+              with Section j -> if j = i then Atomic.incr seen
+            done
+          in
+          for _ = 1 to workers do
+            spawn_worker body
+          done;
+          body ();
+          join ();
+          let free = P.Lock.try_lock l in
+          if free then P.Lock.unlock l;
+          (workers + 1, (!counter, Atomic.get seen, free)))
+    in
+    check "no lost updates under Lock.locked" (expected * iters) updates;
+    check "every raised section reached its caller" (expected * iters / 5) seen;
+    checkb "try_lock succeeds after the sections" true free
+
   let test_try_lock_contract () =
     P.run (fun () ->
         let l = P.Lock.mutex_lock () in
@@ -570,6 +607,8 @@ struct
       Alcotest.test_case "No_More_Procs on exhaustion" `Quick test_exhaustion;
       Alcotest.test_case "lock mutual exclusion" `Quick
         test_lock_mutual_exclusion;
+      Alcotest.test_case "locked sections and exceptions" `Quick
+        test_locked_sections;
       Alcotest.test_case "try_lock contract" `Quick test_try_lock_contract;
       Alcotest.test_case "stats contract" `Quick test_stats_contract;
       Alcotest.test_case "exceptions and reuse" `Quick

@@ -459,6 +459,65 @@ let test_run_ahead_equivalence_2_8 () =
        (fun bench -> [ (bench, 2); (bench, 8) ])
        [ "allpairs"; "mst"; "abisort"; "simple"; "mm"; "seq" ])
 
+(* [Lock.locked] twin: procs contend on one lock with charge-free
+   sections, every 5th of which raises.  Under run-ahead a contended
+   episode parks once and the scheduler runs the rest of the spin, the
+   section (its exception included) and the unlock; the always-suspend
+   machine runs lock, section and unlock on the fiber.  Both must agree
+   cycle for cycle. *)
+exception Section of int
+
+module Locked_twin (M : Mp.Mp_intf.PLATFORM_INT) = struct
+  let iters = 40
+
+  (* (sections run, exceptions seen by their callers) *)
+  let run ~procs =
+    M.run (fun () ->
+        let l = M.Lock.mutex_lock () in
+        let sections = ref 0 and seen = ref 0 in
+        let body () =
+          for i = 1 to iters do
+            M.Work.step ~instrs:200 ();
+            try
+              M.Lock.locked l (fun () ->
+                  incr sections;
+                  if i mod 5 = 0 then raise (Section i))
+            with Section j -> if j = i then incr seen
+          done
+        in
+        for _ = 2 to procs do
+          M.Proc.acquire_proc
+            (M.Proc.PS
+               (Mp.Kont_util.cont_of_thunk ~on_return:M.Proc.release_proc body, 0))
+        done;
+        body ();
+        M.Work.idle_until ~ready:(fun () -> M.Proc.live_procs () = 1);
+        (!sections, !seen))
+end
+
+module LockedRa = Locked_twin (G)
+module LockedNoRa = Locked_twin (NoRa)
+
+let test_locked_twin () =
+  List.iter
+    (fun procs ->
+      let tag s = Printf.sprintf "locked@%d %s" procs s in
+      let expected = (procs * LockedRa.iters, procs * LockedRa.iters / 5) in
+      let rf = LockedRa.run ~procs in
+      let mf = G.Machine.makespan_cycles () in
+      let sf = Mp.Stats.total_lock_spins (G.stats ()) in
+      let bf = G.Machine.bus_bytes () in
+      let susp_f = G.Machine.suspensions () in
+      let rs = LockedNoRa.run ~procs in
+      Alcotest.(check (pair int int)) (tag "run-ahead sections, exceptions") expected rf;
+      Alcotest.(check (pair int int)) (tag "reference sections, exceptions") expected rs;
+      check (tag "makespan") (NoRa.Machine.makespan_cycles ()) mf;
+      check (tag "lock spins") (Mp.Stats.total_lock_spins (NoRa.stats ())) sf;
+      check (tag "bus bytes") (NoRa.Machine.bus_bytes ()) bf;
+      checkb (tag "contended") true (sf > 0);
+      checkb (tag "episodes fused") true (susp_f < NoRa.Machine.suspensions ()))
+    [ 4; 16 ]
+
 (* The debug mode ([heap_debug]) checks the ready heap after every
    scheduler operation, including each coalesced idle quantum, and
    re-evaluates every poller readiness probe; with it enabled the machine
@@ -1080,6 +1139,8 @@ let () =
             test_run_ahead_equivalence;
           Alcotest.test_case "equivalent at procs 2 and 8" `Quick
             test_run_ahead_equivalence_2_8;
+          Alcotest.test_case "Lock.locked twin at 4 and 16" `Quick
+            test_locked_twin;
           Alcotest.test_case "horizon assertion mode matches goldens" `Quick
             test_horizon_debug_matches_golden;
           Alcotest.test_case "suspension budget" `Quick test_suspension_budget;
