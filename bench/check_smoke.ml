@@ -222,51 +222,42 @@ let () =
   Printf.printf "total: %.1fs, %d failure(s), %d skipped\n%!" dt !failures
     !skipped;
   if !json then begin
-    let oc = open_out !json_file in
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b "  \"benchmark\": \"mp_check\",\n";
-    Printf.bprintf b "  \"bound\": %d,\n" !bound;
-    Printf.bprintf b "  \"mode\": %S,\n" !mode;
-    Printf.bprintf b "  \"dpor\": %b,\n" !dpor;
-    Printf.bprintf b "  \"jobs\": %d,\n" jobs;
-    Printf.bprintf b "  \"faults\": %b,\n" !with_faults;
-    Buffer.add_string b "  \"counters\": {";
-    let counters =
-      Mpcheck.Check_intf.counters () @ Exec.Job_pool.counters ()
+    let open Obs.Json in
+    let ratio x y = if y > 0.0 then x /. y else 0.0 in
+    let scenario r =
+      let schedules = float_of_int r.row_schedules in
+      Obj
+        ([
+           ("name", String r.row_name); ("kind", String r.row_kind);
+           ("schedules", Int r.row_schedules); ("pruned", Int r.row_pruned);
+           ("truncated", Int r.row_truncated); ("capped", Bool r.row_capped);
+         ]
+        @ (match r.row_dfs_schedules with
+          | Some n ->
+              [
+                ("dfs_schedules", Int n);
+                ("reduction", Float (2, ratio (float_of_int n) schedules));
+              ]
+          | None -> [])
+        @ [
+            ("seconds", Float (4, r.row_seconds));
+            ( "schedules_per_sec",
+              Float (1, ratio schedules r.row_seconds) );
+            ("ok", Bool r.row_ok);
+          ])
     in
-    List.iteri
-      (fun i (k, v) ->
-        Printf.bprintf b "%s\n    %S: %d" (if i = 0 then "" else ",") k v)
-      counters;
-    Buffer.add_string b "\n  },\n";
-    Buffer.add_string b "  \"scenarios\": [";
-    List.iteri
-      (fun i r ->
-        Printf.bprintf b "%s\n    { \"name\": %S, \"kind\": %S"
-          (if i = 0 then "" else ",")
-          r.row_name r.row_kind;
-        Printf.bprintf b ", \"schedules\": %d, \"pruned\": %d" r.row_schedules
-          r.row_pruned;
-        Printf.bprintf b ", \"truncated\": %d, \"capped\": %b" r.row_truncated
-          r.row_capped;
-        (match r.row_dfs_schedules with
-        | Some n ->
-            Printf.bprintf b ", \"dfs_schedules\": %d, \"reduction\": %.2f" n
-              (if r.row_schedules > 0 then
-                 float_of_int n /. float_of_int r.row_schedules
-               else 0.0)
-        | None -> ());
-        Printf.bprintf b ", \"seconds\": %.4f, \"schedules_per_sec\": %.1f"
-          r.row_seconds
-          (if r.row_seconds > 0.0 then
-             float_of_int r.row_schedules /. r.row_seconds
-           else 0.0);
-        Printf.bprintf b ", \"ok\": %b }" r.row_ok)
-      (List.rev !rows);
-    Buffer.add_string b "\n  ]\n}\n";
-    output_string oc (Buffer.contents b);
-    close_out oc;
+    write !json_file ~schema:"mp-repro/check/v1"
+      [
+        ("benchmark", String "mp_check"); ("bound", Int !bound);
+        ("mode", String !mode); ("dpor", Bool !dpor);
+        ("jobs", Int jobs); ("faults", Bool !with_faults);
+        ( "counters",
+          let counters =
+            Mpcheck.Check_intf.counters () @ Exec.Job_pool.counters ()
+          in
+          Obj (List.map (fun (k, v) -> (k, Int v)) counters) );
+        ("scenarios", List (List.map scenario (List.rev !rows)));
+      ];
     Printf.printf "wrote %s\n%!" !json_file
   end;
   if !failures > 0 then exit 1

@@ -11,7 +11,12 @@
    changes.  The sim-core grid always sweeps an explicit scheduler axis
    (distributed, fifo, ws), landing a per-policy dimension in the JSON;
    --sched (or MP_REPRO_SCHED) selects the policy for the fig6/SGI
-   sweeps and the lock-scaling grid (default distributed). *)
+   sweeps and the lock-scaling grid (default distributed).
+   Host seconds are the wall-clock time of each cell.  Cells run
+   concurrently under --jobs N, so host fields are comparable only
+   between runs at the same N, and only when N is at most the host's
+   core count; every other field is the same for any N.  Both JSON
+   files are written with Obs.Json, and "wrote" goes to stderr. *)
 
 open Bechamel
 open Toolkit
@@ -502,7 +507,7 @@ let sim_core_cell (machine, sched, gc, bench, procs) =
       ()
   in
   let module B = Workloads.Bench_suite.Make (S) in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   ignore
     (B.run_named ~sched:(Mpthreads.Sched_policy.of_string_exn sched) bench
        ~procs);
@@ -512,7 +517,7 @@ let sim_core_cell (machine, sched, gc, bench, procs) =
       sc_gc = gc;
       sc_bench = bench;
       sc_procs = procs;
-      sc_host = Sys.time () -. t0;
+      sc_host = Unix.gettimeofday () -. t0;
       sc_decisions = S.Machine.sched_decisions ();
       sc_susp = S.Machine.suspensions ();
       sc_coalesced = S.Machine.coalesced_charges ();
@@ -633,79 +638,74 @@ let print_sim_core rows =
     (tot (fun r -> r.sc_susp))
     (tot (fun r -> r.sc_coalesced))
 
-let write_sim_json rows counters path =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"benchmark\": \"sim-core\",\n  \"machine\": %S,\n"
-    Seq16.Machine.config.Sim.Sim_config.name;
-  Printf.fprintf oc "  \"workloads\": [\n";
-  let n = List.length rows in
+let write_sim_json ~quick rows counters =
+  let open Obs.Json in
   (* Speedup of each cell vs the same (machine, scheduler, gc model,
      workload) procs=1 makespan, so the per-policy and per-collector
      scaling curves are self-relative within each machine model. *)
-  let makespan1 machine sched gc bench =
-    match
-      List.find_opt
-        (fun r ->
-          r.sc_machine = machine && r.sc_sched = sched && r.sc_gc = gc
-          && r.sc_bench = bench && r.sc_procs = 1)
-        rows
-    with
-    | Some r -> Some r.sc_makespan
-    | None -> None
+  let speedup r =
+    let same r1 =
+      r1.sc_machine = r.sc_machine && r1.sc_sched = r.sc_sched
+      && r1.sc_gc = r.sc_gc && r1.sc_bench = r.sc_bench && r1.sc_procs = 1
+    in
+    match List.find_opt same rows with
+    | Some r1 when r.sc_makespan > 0 ->
+        float_of_int r1.sc_makespan /. float_of_int r.sc_makespan
+    | _ -> nan
   in
-  List.iteri
-    (fun i r ->
-      let speedup =
-        match makespan1 r.sc_machine r.sc_sched r.sc_gc r.sc_bench with
-        | Some m1 when r.sc_makespan > 0 ->
-            float_of_int m1 /. float_of_int r.sc_makespan
-        | _ -> nan
-      in
-      Printf.fprintf oc
-        "    {\"name\": %S, \"machine\": %S, \"scheduler\": %S, \
-         \"gc_model\": %S, \"procs\": %d, \"host_seconds\": %.6f, \
-         \"sched_decisions\": %d, \"suspensions\": %d, \
-         \"coalesced_charges\": %d, \"heap_ops\": %d, \"makespan_cycles\": \
-         %d, \"bus.remote_bytes\": %d, \"cache.invalidations\": %d, \
-         \"gc.minor_count\": %d, \"gc.major_count\": %d, \
-         \"gc.pause_cycles\": %d, \"speedup\": %.4f}%s\n"
-        r.sc_bench r.sc_machine r.sc_sched r.sc_gc r.sc_procs r.sc_host
-        r.sc_decisions r.sc_susp r.sc_coalesced r.sc_heap_ops r.sc_makespan
-        r.sc_remote_bytes r.sc_invalidations r.sc_gc_minor r.sc_gc_major
-        r.sc_gc_pause speedup
-        (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  (* The counter registry of the sweep's last cell: machine counters from
-     that run plus its client-layer counters (sched.forks, lock.spins,
-     sync.blocks, ...) — the same thing the shared-instance driver
-     reported, and independent of how many domains ran the sweep.  It is a
-     snapshot of that one cell, not a sweep total, so [counters_cell]
-     names the cell (the same keys as its [workloads] row). *)
-  (match List.rev rows with
-  | r :: _ ->
-      Printf.fprintf oc
-        "  \"counters_cell\": {\"name\": %S, \"machine\": %S, \"scheduler\": \
-         %S, \"gc_model\": %S, \"procs\": %d},\n"
-        r.sc_bench r.sc_machine r.sc_sched r.sc_gc r.sc_procs
-  | [] -> Printf.fprintf oc "  \"counters_cell\": null,\n");
-  Printf.fprintf oc "  \"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "%s%S: %d" (if i = 0 then "" else ", ") name v)
-    counters;
-  Printf.fprintf oc "},\n";
-  let tot f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  Printf.fprintf oc
-    "  \"totals\": {\"host_seconds\": %.6f, \"sched_decisions\": %d, \
-     \"suspensions\": %d, \"coalesced_charges\": %d, \"heap_ops\": %d}\n}\n"
-    (List.fold_left (fun acc r -> acc +. r.sc_host) 0. rows)
-    (tot (fun r -> r.sc_decisions))
-    (tot (fun r -> r.sc_susp))
-    (tot (fun r -> r.sc_coalesced))
-    (tot (fun r -> r.sc_heap_ops));
-  close_out oc;
-  Format.fprintf fmt "@.wrote %s@." path
+  let cell_key r =
+    [
+      ("name", String r.sc_bench); ("machine", String r.sc_machine);
+      ("scheduler", String r.sc_sched); ("gc_model", String r.sc_gc);
+      ("procs", Int r.sc_procs);
+    ]
+  in
+  let cell r =
+    Obj
+      (cell_key r
+      @ [
+          ("host_seconds", Float (6, r.sc_host));
+          ("sched_decisions", Int r.sc_decisions);
+          ("suspensions", Int r.sc_susp);
+          ("coalesced_charges", Int r.sc_coalesced);
+          ("heap_ops", Int r.sc_heap_ops);
+          ("makespan_cycles", Int r.sc_makespan);
+          ("bus.remote_bytes", Int r.sc_remote_bytes);
+          ("cache.invalidations", Int r.sc_invalidations);
+          ("gc.minor_count", Int r.sc_gc_minor);
+          ("gc.major_count", Int r.sc_gc_major);
+          ("gc.pause_cycles", Int r.sc_gc_pause);
+          ("speedup", Float (4, speedup r));
+        ])
+  in
+  let tot f = Int (List.fold_left (fun acc r -> acc + f r) 0 rows) in
+  let host = List.fold_left (fun acc r -> acc +. r.sc_host) 0. rows in
+  write "BENCH_sim.json" ~schema:"mp-repro/sim/v1"
+    [
+      ("mode", String (if quick then "quick" else "full"));
+      ("benchmark", String "sim-core");
+      ("machine", String Seq16.Machine.config.Sim.Sim_config.name);
+      ("workloads", List (List.map cell rows));
+      (* The counter registry of the sweep's last cell: machine counters
+         from that run plus its client-layer counters (sched.forks,
+         lock.spins, sync.blocks, ...) — independent of how many domains
+         ran the sweep.  It is a snapshot of that one cell, not a sweep
+         total, so [counters_cell] names the cell (the same keys as its
+         [workloads] row). *)
+      ( "counters_cell",
+        match List.rev rows with r :: _ -> Obj (cell_key r) | [] -> Null );
+      ("counters", Obj (List.map (fun (name, v) -> (name, Int v)) counters));
+      ( "totals",
+        Obj
+          [
+            ("host_seconds", Float (6, host));
+            ("sched_decisions", tot (fun r -> r.sc_decisions));
+            ("suspensions", tot (fun r -> r.sc_susp));
+            ("coalesced_charges", tot (fun r -> r.sc_coalesced));
+            ("heap_ops", tot (fun r -> r.sc_heap_ops));
+          ] );
+    ];
+  prerr_endline "wrote BENCH_sim.json"
 
 let () =
   let quick = ref false and json = ref false in
@@ -748,18 +748,13 @@ let () =
     match List.rev sim_cells with (_, d) :: _ -> d | [] -> []
   in
   print_sim_core sim_rows;
-  if json then write_sim_json sim_rows last_counters "BENCH_sim.json";
+  if json then write_sim_json ~quick sim_rows last_counters;
   (* E9: the open-loop server workload — latency-tail grid plus the
      saturation ramp whose knee BENCH_server.json pins per scheduler. *)
   let server_grid = Report.Server_bench.grid ~quick ~jobs () in
   let server_ramp = Report.Server_bench.ramp ~quick ~jobs () in
   Report.Server_bench.print_server fmt server_grid server_ramp;
-  if json then begin
-    let oc = open_out "BENCH_server.json" in
-    output_string oc (Report.Server_bench.to_json ~quick server_grid server_ramp);
-    close_out oc;
-    Format.fprintf fmt "@.wrote BENCH_server.json@."
-  end;
+  if json then Report.Server_bench.write_json ~quick server_grid server_ramp;
   run_micro ();
   Report.Experiments.print_lock_latency fmt;
   Report.Experiments.print_portability fmt;

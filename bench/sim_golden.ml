@@ -4,8 +4,8 @@
    16-proc Sequent model, the virtual-time invariants that any scheduler
    change must preserve bit-for-bit (makespan cycles, collections, bus
    bytes) plus host-side cost counters (effect-handler suspensions,
-   scheduler decisions, host CPU seconds) that changes are allowed — and
-   expected — to improve.
+   scheduler decisions, wall-clock host seconds per cell) that changes
+   are allowed — and expected — to improve.
 
    Usage: dune exec bench/sim_golden.exe [-- --jobs N]
    --jobs (or MP_REPRO_JOBS) fans the cells across host domains; each cell
@@ -36,9 +36,9 @@ let golden_cell (name, procs) =
   in
   let module B = Workloads.Bench_suite.Make (Seq16) in
   Mp.Engine.reset_suspensions ();
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let witness = B.run_named ~sched name ~procs in
-  let host = Sys.time () -. t0 in
+  let host = Unix.gettimeofday () -. t0 in
   Printf.sprintf
     "GOLDEN %-8s sched=%-12s gcm=%-9s procs=%-2d makespan=%-12d gc=%-3d \
      bus=%-12d witness=%d susp=%d decisions=%d host=%.3fs"

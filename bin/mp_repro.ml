@@ -163,13 +163,7 @@ let server_cmd =
     let grid = Report.Server_bench.grid ~quick ~jobs ~machine () in
     let ramp = Report.Server_bench.ramp ~quick ~jobs ~machine () in
     Report.Server_bench.print_server fmt grid ramp;
-    if json then begin
-      let oc = open_out "BENCH_server.json" in
-      output_string oc (Report.Server_bench.to_json ~quick grid ramp);
-      close_out oc;
-      (* stderr, so stdout stays byte-identical with and without --json *)
-      Printf.eprintf "wrote BENCH_server.json\n"
-    end
+    if json then Report.Server_bench.write_json ~quick grid ramp
   in
   Cmd.v
     (Cmd.info "server"

@@ -113,42 +113,40 @@ let pp fmt = function
       Format.fprintf fmt "%10d step     p%d %s" clock proc op
 
 let to_json e =
-  let head name =
-    Printf.sprintf "{\"ts\":%d,\"cat\":%S,\"ev\":%S" (clock_of e)
-      (category_name (category_of e))
-      name
+  let int k v = (k, Json.Int v) and str k v = (k, Json.String v) in
+  let ev, fields =
+    match e with
+    | Dispatch { proc; _ } -> ("dispatch", [ int "proc" proc ])
+    | Freed { proc; _ } -> ("freed", [ int "proc" proc ])
+    | Acquired { proc; by; _ } -> ("acquired", [ int "proc" proc; int "by" by ])
+    | Gc_start { region_words; kind; waiters; _ } ->
+        ( "gc_start",
+          [
+            int "region_words" region_words;
+            str "kind" (gc_kind_name kind);
+            int "waiters" waiters;
+          ] )
+    | Gc_end { duration; _ } -> ("gc_end", [ int "duration" duration ])
+    | Coalesced { proc; cycles; _ } ->
+        ("coalesced", [ int "proc" proc; int "cycles" cycles ])
+    | Fork { proc; thread; _ } ->
+        ("fork", [ int "proc" proc; int "thread" thread ])
+    | Switch { proc; thread; _ } ->
+        ("switch", [ int "proc" proc; int "thread" thread ])
+    | Steal { proc; _ } -> ("steal", [ int "proc" proc ])
+    | Queue_depth { proc; depth; _ } ->
+        ("queue_depth", [ int "proc" proc; int "depth" depth ])
+    | Lock_acquired { proc; _ } -> ("lock_acquired", [ int "proc" proc ])
+    | Lock_contended { proc; spins; _ } ->
+        ("lock_contended", [ int "proc" proc; int "spins" spins ])
+    | Blocked { proc; thread; on; _ } ->
+        ("blocked", [ int "proc" proc; int "thread" thread; str "on" on ])
+    | Wakeup { proc; thread; on; _ } ->
+        ("wakeup", [ int "proc" proc; int "thread" thread; str "on" on ])
+    | Step { proc; op; _ } -> ("step", [ int "proc" proc; str "op" op ])
   in
-  match e with
-  | Dispatch { proc; _ } -> Printf.sprintf "%s,\"proc\":%d}" (head "dispatch") proc
-  | Freed { proc; _ } -> Printf.sprintf "%s,\"proc\":%d}" (head "freed") proc
-  | Acquired { proc; by; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"by\":%d}" (head "acquired") proc by
-  | Gc_start { region_words; kind; waiters; _ } ->
-      Printf.sprintf "%s,\"region_words\":%d,\"kind\":%S,\"waiters\":%d}"
-        (head "gc_start") region_words (gc_kind_name kind) waiters
-  | Gc_end { duration; _ } ->
-      Printf.sprintf "%s,\"duration\":%d}" (head "gc_end") duration
-  | Coalesced { proc; cycles; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"cycles\":%d}" (head "coalesced") proc
-        cycles
-  | Fork { proc; thread; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"thread\":%d}" (head "fork") proc thread
-  | Switch { proc; thread; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"thread\":%d}" (head "switch") proc thread
-  | Steal { proc; _ } -> Printf.sprintf "%s,\"proc\":%d}" (head "steal") proc
-  | Queue_depth { proc; depth; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"depth\":%d}" (head "queue_depth") proc
-        depth
-  | Lock_acquired { proc; _ } ->
-      Printf.sprintf "%s,\"proc\":%d}" (head "lock_acquired") proc
-  | Lock_contended { proc; spins; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"spins\":%d}" (head "lock_contended")
-        proc spins
-  | Blocked { proc; thread; on; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"thread\":%d,\"on\":%S}" (head "blocked")
-        proc thread on
-  | Wakeup { proc; thread; on; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"thread\":%d,\"on\":%S}" (head "wakeup")
-        proc thread on
-  | Step { proc; op; _ } ->
-      Printf.sprintf "%s,\"proc\":%d,\"op\":%S}" (head "step") proc op
+  Json.to_string
+    (Json.Obj
+       (int "ts" (clock_of e)
+       :: str "cat" (category_name (category_of e))
+       :: str "ev" ev :: fields))

@@ -142,45 +142,44 @@ let print_server fmt grid_cells ramp_cells =
 (* ---- BENCH_server.json ------------------------------------------------ *)
 
 let cell_json c =
-  Printf.sprintf
-    "{\"machine\":\"%s\",\"sched\":\"%s\",\"procs\":%d,\"rate\":%.1f,\
-     \"requests\":%d,\"completed\":%d,\"elapsed_s\":%.9f,\
-     \"throughput\":%.3f,\"p50_ns\":%d,\"p95_ns\":%d,\"p99_ns\":%d,\
-     \"p999_ns\":%d,\"mean_ns\":%.1f,\"queue_wait_s\":%.9f}"
-    c.machine c.sched c.procs c.rate c.requests c.completed c.elapsed
-    c.throughput c.p50_ns c.p95_ns c.p99_ns c.p999_ns c.mean_ns c.queue_wait
+  Obs.Json.(
+    Obj
+      [
+        ("machine", String c.machine); ("sched", String c.sched);
+        ("procs", Int c.procs); ("rate", Float (1, c.rate));
+        ("requests", Int c.requests); ("completed", Int c.completed);
+        ("elapsed_s", Float (9, c.elapsed));
+        ("throughput", Float (3, c.throughput));
+        ("p50_ns", Int c.p50_ns); ("p95_ns", Int c.p95_ns);
+        ("p99_ns", Int c.p99_ns); ("p999_ns", Int c.p999_ns);
+        ("mean_ns", Float (1, c.mean_ns));
+        ("queue_wait_s", Float (9, c.queue_wait));
+      ])
 
-let to_json ~quick grid_cells ramp_cells =
-  let b = Buffer.create 4096 in
-  let cfg = base_config ~quick in
-  Buffer.add_string b "{\n  \"schema\": \"mp-repro/server/v1\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"config\": {\"requests\": %d, \"arrival\": \"poisson\", \
-        \"service\": \"exp\", \"service_mean_instrs\": %d, \"shards\": %d, \
-        \"workers_per_shard\": %d, \"queue_cap\": %d, \"seed\": %d},\n"
-       cfg.Workloads.Server.requests cfg.Workloads.Server.service_mean_instrs
-       cfg.Workloads.Server.shards cfg.Workloads.Server.workers_per_shard
-       cfg.Workloads.Server.queue_cap cfg.Workloads.Server.seed);
-  Buffer.add_string b "  \"cells\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("    " ^ cell_json c))
-    grid_cells;
-  Buffer.add_string b "\n  ],\n  \"ramp\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("    " ^ cell_json c))
-    ramp_cells;
-  Buffer.add_string b "\n  ],\n  \"knee\": {";
-  List.iteri
-    (fun i sched ->
-      if i > 0 then Buffer.add_string b ", ";
-      match knee ramp_cells ~sched with
-      | Some r -> Buffer.add_string b (Printf.sprintf "\"%s\": %.1f" sched r)
-      | None -> Buffer.add_string b (Printf.sprintf "\"%s\": null" sched))
-    schedulers;
-  Buffer.add_string b "}\n}\n";
-  Buffer.contents b
+let write_json ~quick grid_cells ramp_cells =
+  let { Workloads.Server.requests; service_mean_instrs; shards;
+        workers_per_shard; queue_cap; seed; _ } = base_config ~quick in
+  let knee_json sched =
+    match knee ramp_cells ~sched with
+    | Some r -> (sched, Obs.Json.Float (1, r))
+    | None -> (sched, Obs.Json.Null)
+  in
+  Obs.Json.(
+    write "BENCH_server.json" ~schema:"mp-repro/server/v1"
+      [
+        ("mode", String (if quick then "quick" else "full"));
+        ( "config",
+          Obj
+            [
+              ("requests", Int requests); ("arrival", String "poisson");
+              ("service", String "exp");
+              ("service_mean_instrs", Int service_mean_instrs);
+              ("shards", Int shards);
+              ("workers_per_shard", Int workers_per_shard);
+              ("queue_cap", Int queue_cap); ("seed", Int seed);
+            ] );
+        ("cells", List (List.map cell_json grid_cells));
+        ("ramp", List (List.map cell_json ramp_cells));
+        ("knee", Obj (List.map knee_json schedulers));
+      ]);
+  prerr_endline "wrote BENCH_server.json"

@@ -44,5 +44,7 @@ val knee : cell list -> sched:string -> float option
 val print_server : Format.formatter -> cell list -> cell list -> unit
 (** Render grid + ramp tables and the per-scheduler knees. *)
 
-val to_json : quick:bool -> cell list -> cell list -> string
-(** The BENCH_server.json document (schema mp-repro/server/v1). *)
+val write_json : quick:bool -> cell list -> cell list -> unit
+(** Write grid + ramp as [BENCH_server.json] in the current directory
+    (schema [mp-repro/server/v1], [mode] quick or full) and say so on
+    stderr, so stdout stays the same with and without the file. *)

@@ -1,6 +1,7 @@
 (* The telemetry spine: ring retention, the counter registry (including
    concurrent emitters on real domains), sinks, the telemetry instance's
-   enable/disable lifecycle, and the event model's stable renderings. *)
+   enable/disable lifecycle, the event model's stable renderings, and the
+   JSON emitter every trace line and BENCH file goes through. *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -144,19 +145,127 @@ let test_event_pp_stable () =
        (Obs.Event.Gc_start
           { clock = 42; region_words = 8; kind = Obs.Event.Minor; waiters = 0 }))
 
-let test_event_json_shape () =
-  checks "json one-liner"
-    {|{"ts":100,"cat":"sched","ev":"dispatch","proc":2}|}
-    (Obs.Event.to_json ev_dispatch);
-  let j =
-    Obs.Event.to_json
-      (Obs.Event.Blocked { proc = 1; clock = 5; thread = 9; on = "sync.mvar" })
-  in
-  checkb "site quoted" true
-    (String.length j > 0
-    && j.[0] = '{'
-    && j.[String.length j - 1] = '}'
-    && (match String.index_opt j '\n' with None -> true | Some _ -> false))
+(* The exact JSONL line of every constructor: trace files are consumed by
+   external tooling, so any byte of drift is a format change. *)
+let test_event_json_lines () =
+  let open Obs.Event in
+  List.iter
+    (fun (ev, line) -> checks line line (to_json ev))
+    [
+      (ev_dispatch, {|{"ts":100,"cat":"sched","ev":"dispatch","proc":2}|});
+      ( Freed { proc = 1; clock = 3 },
+        {|{"ts":3,"cat":"proc","ev":"freed","proc":1}|} );
+      ( Acquired { proc = 1; by = 0; clock = 4 },
+        {|{"ts":4,"cat":"proc","ev":"acquired","proc":1,"by":0}|} );
+      ( Gc_start { clock = 7; region_words = 64; kind = Major; waiters = 1 },
+        {|{"ts":7,"cat":"gc","ev":"gc_start","region_words":64,"kind":"major","waiters":1}|}
+      );
+      ( Gc_start { clock = 8; region_words = 32; kind = Minor; waiters = 0 },
+        {|{"ts":8,"cat":"gc","ev":"gc_start","region_words":32,"kind":"minor","waiters":0}|}
+      );
+      ( Gc_start { clock = 8; region_words = 32; kind = Par; waiters = 15 },
+        {|{"ts":8,"cat":"gc","ev":"gc_start","region_words":32,"kind":"par","waiters":15}|}
+      );
+      ( Gc_end { clock = 9; duration = 2 },
+        {|{"ts":9,"cat":"gc","ev":"gc_end","duration":2}|} );
+      ( Coalesced { proc = 0; clock = 11; cycles = 500 },
+        {|{"ts":11,"cat":"sched","ev":"coalesced","proc":0,"cycles":500}|} );
+      ( Fork { proc = 3; clock = 12; thread = 40 },
+        {|{"ts":12,"cat":"sched","ev":"fork","proc":3,"thread":40}|} );
+      ( Switch { proc = 3; clock = 13; thread = 41 },
+        {|{"ts":13,"cat":"sched","ev":"switch","proc":3,"thread":41}|} );
+      ( Steal { proc = 5; clock = 14 },
+        {|{"ts":14,"cat":"sched","ev":"steal","proc":5}|} );
+      ( Queue_depth { proc = 6; clock = 15; depth = 7 },
+        {|{"ts":15,"cat":"sched","ev":"queue_depth","proc":6,"depth":7}|} );
+      ( Lock_acquired { proc = 2; clock = 16 },
+        {|{"ts":16,"cat":"lock","ev":"lock_acquired","proc":2}|} );
+      ( Lock_contended { proc = 2; clock = 17; spins = 9 },
+        {|{"ts":17,"cat":"lock","ev":"lock_contended","proc":2,"spins":9}|} );
+      ( Blocked { proc = 1; clock = 5; thread = 9; on = "sync.mvar" },
+        {|{"ts":5,"cat":"sync","ev":"blocked","proc":1,"thread":9,"on":"sync.mvar"}|}
+      );
+      ( Wakeup { proc = 1; clock = 6; thread = 9; on = "cml.sync" },
+        {|{"ts":6,"cat":"cml","ev":"wakeup","proc":1,"thread":9,"on":"cml.sync"}|}
+      );
+      ( Blocked { proc = 0; clock = 1; thread = 2; on = "select.send" },
+        {|{"ts":1,"cat":"select","ev":"blocked","proc":0,"thread":2,"on":"select.send"}|}
+      );
+      ( Step { proc = 1; clock = 18; op = "lock l0" },
+        {|{"ts":18,"cat":"lock","ev":"step","proc":1,"op":"lock l0"}|} );
+      ( Step { proc = 0; clock = 19; op = "spawn" },
+        {|{"ts":19,"cat":"sched","ev":"step","proc":0,"op":"spawn"}|} );
+      ( Dispatch { proc = 0; clock = -1 },
+        {|{"ts":-1,"cat":"sched","ev":"dispatch","proc":0}|} );
+    ]
+
+(* ---------------- json ---------------- *)
+
+let json = Obs.Json.to_string
+
+let test_json_strings () =
+  checks "quote, backslash, newline, control byte"
+    {|"a\"b\\c\u000ad\u0001e\u001f"|}
+    (json (Obs.Json.String "a\"b\\c\nd\001e\031"));
+  (* OCaml's %S would print "caf\195\169", which is not JSON *)
+  checks "utf-8 passes through" {|"café"|} (json (Obs.Json.String "café"));
+  checks "keys are escaped too" {|{"a\"b":1}|}
+    (json (Obs.Json.Obj [ ("a\"b", Obs.Json.Int 1) ]))
+
+let test_json_scalars () =
+  let open Obs.Json in
+  checks "null" "null" (json Null);
+  checks "bools" "[true,false]" (json (List [ Bool true; Bool false ]));
+  checks "ints" "[0,-7,1234567890123]"
+    (json (List [ Int 0; Int (-7); Int 1234567890123 ]));
+  checks "fixed digits" "[1.0000,0.000000000,250.0,-0.50,3,0.333333]"
+    (json
+       (List
+          [
+            Float (4, 1.0); Float (9, 0.0); Float (1, 250.); Float (2, -0.5);
+            Float (0, 3.2); Float (6, 1. /. 3.);
+          ]));
+  checks "non-finite is null" "[null,null,null]"
+    (json (List [ Float (4, nan); Float (4, infinity); Float (4, -.infinity) ]))
+
+let test_json_nested_compact () =
+  let open Obs.Json in
+  checks "nested object and list"
+    {|{"a":[1,null,{}],"b":{"c":true,"d":[]},"e":"x"}|}
+    (json
+       (Obj
+          [
+            ("a", List [ Int 1; Null; Obj [] ]);
+            ("b", Obj [ ("c", Bool true); ("d", List []) ]);
+            ("e", String "x");
+          ]))
+
+let test_json_document_layout () =
+  let open Obs.Json in
+  checks "one member per line, one array element per line"
+    {|{
+  "schema": "t/v1",
+  "mode": "quick",
+  "cells": [
+    {"k":1,"v":[1,2]},
+    {"k":2,"v":[]}
+  ],
+  "empty": [],
+  "totals": {"n":3,"s":0.50}
+}
+|}
+    (document ~schema:"t/v1"
+       [
+         ("mode", String "quick");
+         ( "cells",
+           List
+             [
+               Obj [ ("k", Int 1); ("v", List [ Int 1; Int 2 ]) ];
+               Obj [ ("k", Int 2); ("v", List []) ];
+             ] );
+         ("empty", List []);
+         ("totals", Obj [ ("n", Int 3); ("s", Float (2, 0.5)) ]);
+       ])
 
 (* ---------------- sinks ---------------- *)
 
@@ -273,7 +382,14 @@ let () =
         [
           Alcotest.test_case "classification" `Quick test_event_classification;
           Alcotest.test_case "pp stable" `Quick test_event_pp_stable;
-          Alcotest.test_case "json shape" `Quick test_event_json_shape;
+          Alcotest.test_case "json shape" `Quick test_event_json_lines;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "strings" `Quick test_json_strings;
+          Alcotest.test_case "scalars" `Quick test_json_scalars;
+          Alcotest.test_case "nested compact" `Quick test_json_nested_compact;
+          Alcotest.test_case "document layout" `Quick test_json_document_layout;
         ] );
       ( "sinks",
         [
