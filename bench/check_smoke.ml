@@ -49,7 +49,7 @@ let spec =
       "plain CHESS DFS: expand every alternative at every decision" );
     ( "--jobs",
       Arg.Int (fun n -> jobs_opt := Some n),
-      "host domains for DPOR frontier waves (default $MP_REPRO_JOBS or 1)" );
+      "host domains for DPOR frontier waves (default 1)" );
     ( "--json",
       Arg.Set json,
       "write BENCH_check.json (adds a plain-DFS comparison pass over the \

@@ -10,8 +10,8 @@
    suspensions) per workload, for tracking sim-core performance across
    changes.  The sim-core grid always sweeps an explicit scheduler axis
    (distributed, fifo, ws), landing a per-policy dimension in the JSON;
-   --sched (or MP_REPRO_SCHED) selects the policy for the fig6/SGI
-   sweeps and the lock-scaling grid (default distributed).
+   --sched selects the policy for the fig6/SGI sweeps and the lock-scaling
+   grid (default distributed).
    Host seconds are the wall-clock time of each cell.  Cells run
    concurrently under --jobs N, so host fields are comparable only
    between runs at the same N, and only when N is at most the host's
@@ -721,12 +721,12 @@ let () =
          all printed/written results are identical for every N *)
       ( "--jobs",
         Arg.Int (fun n -> jobs := Some n),
-        "N host domains for the sweeps (default $MP_REPRO_JOBS or 1)" );
+        "N host domains for the sweeps (default 1)" );
       (* the sim-core grid always sweeps its own explicit scheduler axis *)
       ( "--sched",
         Arg.String (fun p -> sched := Some p),
         "POLICY scheduler for the fig6/SGI sweeps and lock scaling (default \
-         $MP_REPRO_SCHED or distributed)" );
+         distributed)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "main.exe [--quick] [--json] [--jobs N] [--sched POLICY]";

@@ -38,7 +38,7 @@ let () =
     [
       ( "--jobs",
         Arg.Int (fun n -> jobs := Some n),
-        "N host domains for the cells (default $MP_REPRO_JOBS or 1)" );
+        "N host domains for the cells (default 1)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "server_golden.exe [--jobs N]";

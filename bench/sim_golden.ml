@@ -7,23 +7,19 @@
    scheduler decisions, wall-clock host seconds per cell) that changes
    are allowed — and expected — to improve.
 
-   Usage: dune exec bench/sim_golden.exe [-- --jobs N]
-   --jobs (or MP_REPRO_JOBS) fans the cells across host domains; each cell
-   runs on a private machine instance and lines print in grid order, so the
-   GOLDEN values are identical for every N.  MP_REPRO_SCHED selects the
-   scheduling policy (default distributed — the policy the test table
-   pins) and MP_REPRO_GC the GC cost model (default stw — likewise the
-   pinned one); under any (policy, collector) pair the output must stay
-   identical across --jobs values, which is what CI's ws-policy and
-   minor_pp jobs-diff legs check.
+   Usage: dune exec bench/sim_golden.exe [-- --jobs N --sched P --gc M]
+   --jobs fans the cells across host domains; each cell runs on a private
+   machine instance and lines print in grid order, so the GOLDEN values
+   are identical for every N.  --sched selects the scheduling policy
+   (default distributed — the policy the test table pins) and --gc the GC
+   cost model (default stw — likewise the pinned one); under any (policy,
+   collector) pair the output must stay identical across --jobs values,
+   which is what CI's ws-policy and minor_pp jobs-diff legs check.
    Paste the GOLDEN lines into the table in test/test_sim.ml when adding a
    workload; never update them to absorb a virtual-time change without
    understanding why the change is correct. *)
 
-let sched = Mpthreads.Sched_policy.resolve ()
-let gc = Sim.Gc_model.resolve ()
-
-let golden_cell (name, procs) =
+let golden_cell ~sched ~gc (name, procs) =
   let module Seq16 =
     Sim.Mp_sim.Int (struct
         let config =
@@ -55,16 +51,24 @@ let golden_cell (name, procs) =
     host
 
 let () =
-  let jobs = ref None in
+  let jobs = ref None and sched = ref None and gc = ref None in
   Arg.parse
     [
       ( "--jobs",
         Arg.Int (fun n -> jobs := Some n),
-        "N host domains for the cells (default $MP_REPRO_JOBS or 1)" );
+        "N host domains for the cells (default 1)" );
+      ( "--sched",
+        Arg.String (fun p -> sched := Some p),
+        "POLICY scheduling policy (default distributed)" );
+      ( "--gc",
+        Arg.String (fun m -> gc := Some m),
+        "MODEL GC cost model (default stw)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "sim_golden.exe [--jobs N]";
+    "sim_golden.exe [--jobs N] [--sched POLICY] [--gc MODEL]";
   let jobs = Exec.Job_pool.resolve_jobs !jobs in
+  let sched = Mpthreads.Sched_policy.resolve ?explicit:!sched () in
+  let gc = Sim.Gc_model.resolve ?explicit:!gc () in
   let names =
     let module B0 =
       Workloads.Bench_suite.Make
@@ -81,4 +85,5 @@ let () =
       (fun name -> List.map (fun procs -> (name, procs)) [ 1; 4; 16 ])
       names
   in
-  List.iter print_endline (Exec.Job_pool.map ~jobs golden_cell cells)
+  List.iter print_endline
+    (Exec.Job_pool.map ~jobs (golden_cell ~sched ~gc) cells)

@@ -8,9 +8,8 @@
    mp_repro portability              source-line inventory (E2)
    mp_repro all [--quick]            everything
 
-   Every sweep subcommand takes --sched POLICY (or the MP_REPRO_SCHED
-   environment variable) to run the thread pools under a different
-   scheduling policy, and --gc MODEL (or MP_REPRO_GC) to price heap
+   Every sweep subcommand takes --sched POLICY to run the thread pools
+   under a different scheduling policy, and --gc MODEL to price heap
    allocation under a different GC cost model. *)
 
 open Cmdliner
@@ -29,7 +28,7 @@ let jobs_arg =
   let doc =
     "Fan the sweep's independent (bench, procs) cells across $(docv) host \
      domains.  Results are merged in grid order, so all output is \
-     identical for every value.  Defaults to $(b,MP_REPRO_JOBS) or 1."
+     identical for every value.  Defaults to 1."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -37,12 +36,12 @@ let sched_arg =
   let doc =
     "Thread-scheduler policy for the sweep's pools: one of \
      $(b,fifo)|$(b,lifo)|$(b,distributed)|$(b,ws)|$(b,micropools[:K]).  \
-     Defaults to $(b,MP_REPRO_SCHED) or $(b,distributed)."
+     Defaults to $(b,distributed)."
   in
   Arg.(value & opt (some string) None & info [ "sched" ] ~docv:"POLICY" ~doc)
 
-(* --sched beats MP_REPRO_SCHED beats the distributed default; re-render to
-   the canonical spelling for sweep cache keys and sample labels. *)
+(* --sched, else the distributed default; re-render to the canonical
+   spelling for sweep cache keys and sample labels. *)
 let resolve_sched explicit =
   Mpthreads.Sched_policy.(to_string (resolve ?explicit ()))
 
@@ -52,12 +51,11 @@ let gc_arg =
      $(b,stw)|$(b,par_stw[:N])|$(b,minor_pp).  $(b,stw) is the paper's \
      sequential stop-the-world collector; $(b,par_stw) splits the copy \
      across up to N collectors; $(b,minor_pp) gives each proc a private \
-     minor heap.  Defaults to $(b,MP_REPRO_GC) or $(b,stw)."
+     minor heap.  Defaults to $(b,stw)."
   in
   Arg.(value & opt (some string) None & info [ "gc" ] ~docv:"MODEL" ~doc)
 
-(* --gc beats MP_REPRO_GC beats the stw default; same canonicalization
-   scheme as resolve_sched. *)
+(* --gc, else the stw default; same canonicalization as resolve_sched. *)
 let resolve_gc explicit = Sim.Gc_model.(to_string (resolve ?explicit ()))
 
 let machine_arg =

@@ -895,6 +895,30 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
             S.fork_join [ (fun () -> incr hits); (fun () -> incr hits) ]);
         check (!hits = 2) "threads: fork_join lost a task")
 
+  (* Timer registration racing the drain: the root and a forked thread
+     (on either proc) register [at] callbacks that are already due while
+     the other proc's idle dispatch may be draining the heap, and the
+     root's sleep needs a later drain to wake.  Every callback runs
+     exactly once, and no timer is lost: a lost sleep timer leaves both
+     procs idle for ever, which the checker reports as a deadlock. *)
+  let sched_timers_scenario () =
+    C.run (fun () ->
+        let module S = Mpthreads.Sched_thread.Make (C) in
+        let fired = Array.make 2 0 in
+        let register i =
+          S.at (S.now ()) (fun () -> fired.(i) <- fired.(i) + 1)
+        in
+        S.with_pool ~procs:2 ~quantum:1e6 (fun () ->
+            S.fork (fun () -> register 1);
+            register 0;
+            S.sleep 0.001);
+        (* the drainer runs callbacks after releasing the heap; every
+           worker has done so once it is released *)
+        join ();
+        Array.iteri
+          (fun i n -> check (n = 1) "timers: callback %d ran %d times" i n)
+          fired)
+
   let all =
     [
       ("lock_tas", mutex_scenario (module T_tas));
@@ -934,6 +958,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
      bounded schedule exploration, not just the golden-pinned default. *)
   let heavy =
     ("threads_pool", threads_scenario ?sched:None)
+    :: ("sched_timers", sched_timers_scenario)
     :: List.map
          (fun p ->
            ( "threads_pool_" ^ Mpthreads.Sched_policy.to_string p,

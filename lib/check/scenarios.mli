@@ -19,7 +19,9 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) : sig
 
   val heavy : (string * (unit -> unit)) list
   (** Scenarios with large decision counts (the full [Sched_thread] package
-      over the checker) — explore with a low bound or a schedule cap. *)
+      over the checker: thread pools under each policy, and timer
+      registration racing the drain) — explore with a low bound or a
+      schedule cap. *)
 
   val broken : (string * (unit -> unit)) list
   (** Deliberately buggy clients (a racy test-and-set lock; a server

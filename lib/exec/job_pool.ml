@@ -4,14 +4,7 @@ let c_batches = Obs.Counters.counter registry "exec.parallel_batches"
 let c_domains = Obs.Counters.counter registry "exec.domains_spawned"
 let c_steals = Obs.Counters.counter registry "exec.steals"
 
-let default_jobs () =
-  match Sys.getenv_opt "MP_REPRO_JOBS" with
-  | Some v -> ( match int_of_string_opt (String.trim v) with
-    | Some n when n >= 1 -> n
-    | _ -> 1)
-  | None -> 1
-
-let resolve_jobs = function Some n -> max 1 n | None -> default_jobs ()
+let resolve_jobs = function Some n -> max 1 n | None -> 1
 
 (* One slot per job; distinct jobs write distinct slots, and Domain.join
    publishes every worker's writes before the caller reads, so the merge

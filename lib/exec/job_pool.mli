@@ -13,14 +13,9 @@
     [jobs <= 1] (the default) [f] runs inline on the calling domain,
     byte-identical to the historical sequential drivers. *)
 
-val default_jobs : unit -> int
-(** Parallelism when the caller gives no explicit [--jobs]: the
-    [MP_REPRO_JOBS] environment variable when set to a positive integer,
-    else 1 (sequential). *)
-
 val resolve_jobs : int option -> int
 (** [resolve_jobs explicit] is [explicit] when given (clamped to >= 1),
-    else {!default_jobs}. *)
+    else 1 (sequential). *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] = [List.map f xs], evaluating up to [jobs] elements

@@ -97,10 +97,12 @@ let run_cell ?sink (config : Sim.Sim_config.t) (bench, procs) =
 (* The grid over any [Sim_config.of_machine_string] selector.  The default
    proc list grows with the machine: a 64-node NUMA box is swept at the
    powers of four up to its size rather than the flat 1..16 grid; any list
-   is clamped to the machine size.  [Exec.Job_pool.map] merges the cells
-   back in grid order, so the samples are identical for every [jobs].  A
-   traced sweep streams every cell's events to one JSONL file, so it runs
-   the cells on one domain in grid order. *)
+   is clamped to the machine size and must contain 1, the self-relative
+   speedup baseline, so a bad list fails before any cell runs.
+   [Exec.Job_pool.map] merges the cells back in grid order, so the samples
+   are identical for every [jobs].  A traced sweep streams every cell's
+   events to one JSONL file, so it runs the cells on one domain in grid
+   order. *)
 let sweep ?plist ?jobs ?(sched = "distributed") ?(gc = "stw") ?trace machine =
   let config =
     Sim.Sim_config.of_machine_string_exn ~sched
@@ -114,6 +116,10 @@ let sweep ?plist ?jobs ?(sched = "distributed") ?(gc = "stw") ?trace machine =
     | None when procs <= 16 -> default_procs
     | None -> [ 1; 4; 16; 64; 256; 1024 ]
   in
+  if not (List.mem 1 plist) then
+    invalid_arg
+      "Experiments.sweep: the proc list has no 1, the 1-proc baseline every \
+       speedup is relative to";
   let plist = List.filter (fun p -> p <= procs) plist in
   let cells =
     List.concat_map (fun b -> List.map (fun p -> (b, p)) plist) benches

@@ -48,15 +48,17 @@ val sweep :
 
     [plist] defaults to {!default_procs} on machines of at most 16 procs
     and to the powers of four [1; 4; 16; 64; 256; 1024] on larger ones;
-    either way it is clamped to the machine size.  [sched] is the
-    scheduling policy for every pool, in {!Mpthreads.Sched_policy.of_string}
-    syntax (default ["distributed"]); [gc] is the GC cost model in
+    either way it is clamped to the machine size.  It must contain 1, the
+    1-proc baseline of every speedup; otherwise [Invalid_argument] is
+    raised before any cell runs.  [sched] is the scheduling policy for
+    every pool, in {!Mpthreads.Sched_policy.of_string} syntax (default
+    ["distributed"]); [gc] is the GC cost model in
     {!Sim.Gc_model.of_string} syntax (default ["stw"]).
 
     [jobs] fans the cells across that many host domains via
     {!Exec.Job_pool}; results are merged back in grid order, so the
     returned samples (and all output rendered from them) are identical for
-    every [jobs] value.  Defaults to [MP_REPRO_JOBS] or 1.
+    every [jobs] value.  Defaults to 1.
 
     [trace] streams every cell's telemetry (scheduler, proc, lock, GC, and
     client-layer sync events) to that file as JSONL, one event per line.

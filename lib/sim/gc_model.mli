@@ -31,13 +31,9 @@ val of_string : string -> (t, string) result
 
 val of_string_exn : string -> t
 
-val env_var : string
-(** ["MP_REPRO_GC"] — consulted by {!resolve} when no explicit selector is
-    given, mirroring [MP_REPRO_SCHED]. *)
-
 val resolve : ?explicit:string -> unit -> t
-(** Selector precedence: [explicit] if given, else a non-empty
-    {!env_var}, else {!default}. *)
+(** Selector: [explicit] (e.g. a [--gc] flag) if given, else {!default}.
+    @raise Invalid_argument on an unparsable spelling. *)
 
 (** Cost constants, extracted from [Sim_config] by the simulator (this
     module does not depend on the config; the config references {!t}). *)

@@ -47,6 +47,16 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
   let timer_lock = P.Lock.mutex_lock ()
   let timers : (float * (unit -> unit)) PQ.queue ref = ref (PQ.create ())
 
+  (* The earliest pending wake time, [infinity] when none.  Written only
+     under [timer_lock], in the same critical section that changes the
+     heap; read without the lock by every dispatch, poll and idle
+     predicate, so no proc ever reads the heap itself unlocked. *)
+  let next_due = Atomic.make infinity
+
+  let publish_next_due () =
+    Atomic.set next_due
+      (if PQ.is_empty !timers then infinity else fst (PQ.peek !timers))
+
   (* The queue's priority is an int, highest first: negated nanoseconds
      gives earliest-time-first.  ns resolution is finer than both the
      simulator's cycle (62.5 ns at 16 MHz) and the wall clock's microsecond,
@@ -55,60 +65,38 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
 
   let at time callback =
     P.Lock.locked timer_lock (fun () ->
-        PQ.enq !timers ~priority:(timer_priority time) (time, callback))
+        PQ.enq !timers ~priority:(timer_priority time) (time, callback);
+        publish_next_due ())
 
-  (* Timer-peek invariant.  [fire_due_timers]'s fast path peeks the heap
-     WITHOUT [timer_lock].  That racy peek is only safe when no other host
-     thread can mutate the heap concurrently — which holds on the
-     cooperative backends (uniproc/sim/check run every proc as a fiber of
-     one host domain) and on any backend when the pool has a single proc.
-     It does NOT depend on the scheduling policy: a central queue does not
-     serialize procs, only a single host domain does.  On the domains
-     backend with a multi-proc pool, a peek racing the locked drain's heap
-     mutation could read a torn heap, so dispatch must take the locked
-     path there; [with_pool] computes this per pool, before any proc is
-     acquired. *)
-  let cooperative_host =
-    P.name = "uniproc" || P.name = "check"
-    || (String.length P.name >= 4 && String.sub P.name 0 4 = "sim:")
+  (* No clock read while nothing is pending: the idle predicate runs this
+     at every quantum. *)
+  let timer_due () =
+    let due = Atomic.get next_due in
+    due < infinity && due <= P.Work.now ()
 
-  let timer_peek_unlocked = ref true
-
-  let debug_guard =
-    match Sys.getenv_opt "MP_SCHED_DEBUG" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
-
-  (* Fire every due timer; true if any fired.  The unlocked peek matters:
-     dispatch calls this on every idle iteration, and taking the lock each
-     time would make the timer lock the hottest word in the system.  A racy
-     peek can only mis-read in-flight state; the locked drain below
-     re-checks everything. *)
+  (* Fire every due timer; true if any fired.  Dispatch calls this on
+     every idle iteration, so the common nothing-due case is one atomic
+     load and takes no lock. *)
   let fire_due_timers () =
-    let peeked =
-      if !timer_peek_unlocked then begin
-        if debug_guard then
-          (* the invariant above, re-checked live under any policy *)
-          assert (cooperative_host || !acquired <= 1);
-        PQ.peek_opt !timers
-      end
-      else P.Lock.locked timer_lock (fun () -> PQ.peek_opt !timers)
-    in
-    match peeked with
-    | None -> false
-    | Some (t0, _) when t0 > P.Work.now () -> false
-    | Some _ ->
-        let now = P.Work.now () in
-        let rec drain acc =
-          match PQ.peek_opt !timers with
-          | Some (t, _) when t <= now ->
-              let _, cb = PQ.deq !timers in
-              drain (cb :: acc)
-          | _ -> List.rev acc
-        in
-        let due = P.Lock.locked timer_lock (fun () -> drain []) in
-        List.iter (fun cb -> cb ()) due;
-        due <> []
+    if not (timer_due ()) then false
+    else begin
+      let now = P.Work.now () in
+      let rec drain acc =
+        match PQ.peek_opt !timers with
+        | Some (t, _) when t <= now ->
+            let _, cb = PQ.deq !timers in
+            drain (cb :: acc)
+        | _ -> List.rev acc
+      in
+      let due =
+        P.Lock.locked timer_lock (fun () ->
+            let due = drain [] in
+            publish_next_due ();
+            due)
+      in
+      List.iter (fun cb -> cb ()) due;
+      due <> []
+    end
 
   let record_error e =
     ignore (Atomic.compare_and_set thread_error None (Some e))
@@ -164,16 +152,12 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
           (* Idle until any of the conditions the loop above would act on
              can hold.  The predicate mirrors this dispatch's uncharged
              failure path read-for-read — the policy's charge-free queue
-             hint, an unlocked timer peek, the finished flag — and is
+             hint, the published next deadline, the finished flag — and is
              side-effect- and charge-free, as [Work.idle_until] requires; a
              wake re-runs the full (charged) probes above from the same
              position. *)
           P.Work.idle_until ~ready:(fun () ->
-              !finished
-              || (match PQ.peek_opt !timers with
-                 | Some (t0, _) -> t0 <= P.Work.now ()
-                 | None -> false)
-              || Q.S.looks_nonempty Q.q ~proc);
+              !finished || timer_due () || Q.S.looks_nonempty Q.q ~proc);
           dispatch ()
         end
 
@@ -234,11 +218,16 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
     active := true;
     finished := false;
     acquired := 1;
-    timer_peek_unlocked := cooperative_host || want <= 1;
     Atomic.set next_id 1;
     Atomic.set switch_count 0;
     Atomic.set thread_error None;
-    timers := PQ.create ();
+    (* Drop a previous pool's leftover timers.  An empty heap needs no
+       reset, so the common case takes no lock (and, on the simulator,
+       pays no charge). *)
+    if Atomic.get next_due < infinity then
+      P.Lock.locked timer_lock (fun () ->
+          timers := PQ.create ();
+          publish_next_due ());
     last_switch := Array.make max_procs (P.Work.now ());
     quantum := q;
     P.Work.set_poll_hook poll_check;

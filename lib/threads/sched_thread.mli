@@ -54,9 +54,10 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) : sig
       costs no wall time. *)
 
   val at : float -> (unit -> unit) -> unit
-  (** Run a callback at (or shortly after) the given absolute time, in
-      scheduler context on whichever proc notices it first.  Timers fire at
-      safe points (dispatch and poll), the paper's timer-driven polling. *)
+  (** Run a callback once, at (or shortly after) the given absolute time,
+      in scheduler context.  Timers fire at safe points, the paper's
+      timer-driven polling: any proc's dispatch or poll may fire a due
+      timer, whichever proc registered it, on every backend. *)
 
   val pool_procs : unit -> int
   (** Number of procs actually acquired by the current pool. *)

@@ -37,6 +37,19 @@ let test_all_scenarios_bound2 () =
         (r.Mpcheck.Mp_check.schedules > 1))
     S.all
 
+(* The timer scenario is heavy (the whole thread package) but small
+   enough to explore exhaustively at bound 2. *)
+let test_sched_timers_bound2 () =
+  let r =
+    P.Explore.dfs ~bound:2 ~max_schedules:30_000
+      (List.assoc "sched_timers" S.heavy)
+  in
+  (match r.Mpcheck.Mp_check.failure with
+  | None -> ()
+  | Some f -> Alcotest.failf "sched_timers failed:@.%s" (render_failure f));
+  checkb "sched_timers: not capped" false r.Mpcheck.Mp_check.capped;
+  checki "sched_timers: no truncated runs" 0 r.Mpcheck.Mp_check.truncated
+
 (* ---- the self-test: a broken lock must be caught ---------------------- *)
 
 let test_broken_tas_caught () =
@@ -408,6 +421,8 @@ let () =
         [
           Alcotest.test_case "all scenarios green at bound 2" `Slow
             test_all_scenarios_bound2;
+          Alcotest.test_case "sched_timers exhaustive at bound 2" `Quick
+            test_sched_timers_bound2;
           Alcotest.test_case "broken TAS caught and shrunk" `Quick
             test_broken_tas_caught;
           Alcotest.test_case "AB-BA deadlock detected" `Quick

@@ -564,6 +564,80 @@ struct
         check (Printf.sprintf "policy %s: all tasks ran once" label) 10 v)
       Mpthreads.Sched_policy.[ Fifo; Lifo; Distributed; Ws; Micropools 2 ]
 
+  (* Timers on this backend: three back-to-back pools, each starting from an
+     empty heap.  In each, sleepers (forked latest-deadline first) and
+     [at] callbacks registered from several threads on up to two procs;
+     the root thread polls, charges a step and yields until every event
+     has happened, so time moves on every backend (on the checker each
+     decision is one 1 ms step, so the gap is 50 decisions).  Every
+     callback runs exactly once and none before its deadline, sleepers
+     wake in deadline order, and a timer left pending by one pool is
+     dropped by the next one rather than fired. *)
+  let test_timers () =
+    let gap = 0.05 in
+    let rounds = 3 and sleepers = 3 and registrars = 2 and per_registrar = 2 in
+    let callbacks = registrars * per_registrar in
+    let fired = Array.init rounds (fun _ -> Array.make callbacks 0) in
+    let early = Atomic.make 0 and leaked = Atomic.make 0 in
+    let wakes = Array.make rounds [] in
+    P.run (fun () ->
+        let procs = min 2 (P.Proc.max_procs ()) in
+        for r = 0 to rounds - 1 do
+          ST.with_pool ~procs ~quantum:1e6 ~sched:Mpthreads.Sched_policy.Fifo
+            (fun () ->
+              let l = P.Lock.mutex_lock () in
+              let events = Atomic.make 0 in
+              let t0 = ST.now () in
+              let deadline k = t0 +. (gap *. k) in
+              let callback c due () =
+                if ST.now () < due then Atomic.incr early;
+                P.Lock.locked l (fun () ->
+                    fired.(r).(c) <- fired.(r).(c) + 1);
+                Atomic.incr events
+              in
+              for i = 0 to sleepers - 1 do
+                ST.fork (fun () ->
+                    let d =
+                      deadline (float_of_int (sleepers - i)) -. ST.now ()
+                    in
+                    let due = ST.now () +. d in
+                    ST.sleep d;
+                    if ST.now () < due then Atomic.incr early;
+                    P.Lock.locked l (fun () -> wakes.(r) <- due :: wakes.(r));
+                    Atomic.incr events)
+              done;
+              for j = 0 to registrars - 1 do
+                ST.fork (fun () ->
+                    for m = 0 to per_registrar - 1 do
+                      let k = float_of_int m +. (0.25 *. float_of_int j) in
+                      let due = deadline (0.5 +. k) in
+                      ST.at due (callback ((j * per_registrar) + m) due)
+                    done)
+              done;
+              (* due during the next pool, were it not dropped *)
+              ST.at (deadline 6.) (fun () -> Atomic.incr leaked);
+              while Atomic.get events < sleepers + callbacks do
+                P.Work.poll ();
+                P.Work.step ~instrs:100 ();
+                ST.yield ()
+              done)
+        done);
+    Array.iteri
+      (fun r counts ->
+        Array.iteri
+          (fun c n ->
+            check (Printf.sprintf "pool %d: callback %d ran once" r c) 1 n)
+          counts;
+        let woke = List.rev wakes.(r) in
+        check (Printf.sprintf "pool %d: every sleeper woke" r) sleepers
+          (List.length woke);
+        checkb (Printf.sprintf "pool %d: sleepers woke in deadline order" r)
+          true
+          (woke = List.sort compare woke))
+      fired;
+    check "no timer fired before its deadline" 0 (Atomic.get early);
+    check "a finished pool's pending timer never fires" 0 (Atomic.get leaked)
+
   (* The server pipeline end-to-end on this backend: a fixed 200-request
      closed-burst trace (rate = infinity ⇒ every arrival at t = 0, so no
      sleep timers — it runs under the checker's single schedule too);
@@ -615,6 +689,7 @@ struct
         test_exceptions_and_reuse;
       Alcotest.test_case "scheduler policy family" `Quick test_sched_policies;
       Alcotest.test_case "server pipeline" `Quick test_server_pipeline;
+      Alcotest.test_case "timers" `Quick test_timers;
     ]
 end
 

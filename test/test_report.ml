@@ -281,6 +281,21 @@ let test_sweep_traced_numa_ws () =
         (contains trace (Printf.sprintf "\"cat\":\"%s\"" cat)))
     [ "sched"; "lock"; "gc" ]
 
+(* A proc list without 1 has no speedup baseline: the sweep refuses it up
+   front, naming the missing baseline, and runs no cell (the trace file a
+   traced sweep opens before its first cell is never created). *)
+let test_sweep_requires_baseline () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ()) "no_baseline.jsonl"
+  in
+  if Sys.file_exists path then Sys.remove path;
+  (match Report.Experiments.sweep ~plist:[ 2; 4 ] ~trace:path "sequent" with
+  | _ -> Alcotest.fail "sweep without a 1-proc cell must be rejected"
+  | exception Invalid_argument msg ->
+      checkb ("message names the baseline: " ^ msg) true
+        (contains msg "1-proc baseline"));
+  checkb "no cell ran" false (Sys.file_exists path)
+
 let test_print_sections_smoke () =
   let s = Lazy.force samples in
   let out =
@@ -339,5 +354,7 @@ let () =
           Alcotest.test_case "traced numa ws sweep" `Slow
             test_sweep_traced_numa_ws;
           Alcotest.test_case "print sections" `Slow test_print_sections_smoke;
+          Alcotest.test_case "proc list without 1 rejected" `Quick
+            test_sweep_requires_baseline;
         ] );
     ]

@@ -632,8 +632,8 @@ let test_sched_all_policies_correct () =
 (* ---------------- GC cost model family ---------------- *)
 
 (* Requesting the default collector explicitly is the identity:
-   bit-identical to the golden table (the --gc stw / MP_REPRO_GC=stw call
-   path of bench/sim_golden.exe and the stw cells of BENCH_sim.json are
+   bit-identical to the golden table (the --gc stw call path of
+   bench/sim_golden.exe and the stw cells of BENCH_sim.json are
    generated through exactly this construction). *)
 module GStw =
   Sim.Mp_sim.Int (struct
