@@ -40,8 +40,9 @@ let sched_arg =
   in
   Arg.(value & opt (some string) None & info [ "sched" ] ~docv:"POLICY" ~doc)
 
-(* --sched, else the distributed default; re-render to the canonical
-   spelling for sweep cache keys and sample labels. *)
+(* --sched, else the distributed default; parsed here so a bad spelling
+   fails before any cell runs, and re-rendered to the canonical spelling
+   that every sample's [sched] label carries. *)
 let resolve_sched explicit =
   Mpthreads.Sched_policy.(to_string (resolve ?explicit ()))
 

@@ -650,6 +650,51 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
         check (not !overlap) "semaphore: exclusion violated";
         check (Sy.Semaphore.value sem = 1) "semaphore: final value <> 1")
 
+  (* Producer/consumer over the shared park-and-wake condition (the one
+     behind the Modula-3 and ML thread packages): the consumer waits for
+     the flag under the mutex, the producer sets it and signals.  A lost
+     wakeup leaves the consumer parked for ever: a deadlock. *)
+  let sync_condition_scenario () =
+    C.run (fun () ->
+        let module TS = Tiny () in
+        let module M3 = Mpthreads.M3_thread.Make (C) (TS) in
+        let m = M3.Mutex.create () in
+        let c = M3.Condition.create () in
+        let ready = ref false in
+        let got = ref false in
+        TS.fork (fun () ->
+            M3.Mutex.with_lock m (fun () ->
+                while not !ready do
+                  M3.Condition.wait m c
+                done;
+                got := true));
+        M3.Mutex.with_lock m (fun () ->
+            ready := true;
+            M3.Condition.signal c);
+        join ();
+        check !got "condition: consumer never saw the flag")
+
+  (* Modula-3 alerts: an [alert] posted while the target is on its way into
+     [alert_wait] must still wake it, and it must leave with [Alerted]. *)
+  let m3_alert_scenario () =
+    C.run (fun () ->
+        let module TS = Tiny () in
+        let module M3 = Mpthreads.M3_thread.Make (C) (TS) in
+        let m = M3.Mutex.create () in
+        let c = M3.Condition.create () in
+        let t =
+          M3.fork (fun () ->
+              M3.Mutex.with_lock m (fun () ->
+                  try
+                    M3.alert_wait m c;
+                    false
+                  with M3.Alerted -> true))
+        in
+        C.Work.poll ();
+        M3.alert t;
+        check (M3.join t) "m3: alert_wait returned without Alerted";
+        join ())
+
   (* ---- selective communication and CML -------------------------------- *)
 
   let select_scenario () =
@@ -943,6 +988,8 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
       ("sync_ivar", sync_ivar_scenario);
       ("sync_mvar", sync_mvar_scenario);
       ("sync_semaphore", sync_semaphore_scenario);
+      ("sync_condition", sync_condition_scenario);
+      ("m3_alert", m3_alert_scenario);
       ("select_rendezvous", select_scenario);
       ("cml_rendezvous", cml_rendezvous_scenario);
       ("cml_choose", cml_choose_scenario);

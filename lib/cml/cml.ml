@@ -47,35 +47,12 @@ struct
   let global_lock = P.Lock.mutex_lock ()
 
   (* Telemetry: a Blocked event when a sync parks its continuation, a
-     Wakeup when a partner (or timeout) commits it.  Host-side only, so
-     virtual-time results are unchanged; emitted outside the global lock
-     where possible, and never from inside a suspend body. *)
-  let c_blocks = P.Telemetry.counter "cml.blocks"
-  let c_wakeups = P.Telemetry.counter "cml.wakeups"
+     Wakeup when a partner (or timeout) commits it; emitted outside the
+     global lock where possible, and never from inside a suspend body. *)
+  module Park = Mpthreads.Park.Make (P) (S) (struct
+    let family = "cml"
+  end)
 
-  let note_block on tid =
-    Obs.Counters.incr c_blocks;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Blocked
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
-
-  let note_wakeup on tid =
-    Obs.Counters.incr c_wakeups;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Wakeup
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
   let rng = ref (Random.State.make [| 0xc31 |])
   let set_seed seed = rng := Random.State.make [| seed |]
 
@@ -185,28 +162,21 @@ struct
     | BAlways _ -> assert false (* always-available: poll would have taken it *)
     | BTimeout (d, wrapped) ->
         S.at (S.now () +. d) (fun () ->
-            if P.Lock.try_lock commit then begin
-              note_wakeup "cml.timeout" tid;
-              S.reschedule_thread (k, wrapped, tid)
-            end)
+            if P.Lock.try_lock commit then
+              Park.wake ~on:"cml.timeout" (k, wrapped, tid))
     | BSend (ch, v, wrapped) ->
         Fifo.enq ch.sndrs
           {
             s_commit = commit;
             s_value = v;
-            s_resume =
-              (fun () ->
-                note_wakeup "cml.sync" tid;
-                S.reschedule_thread (k, wrapped, tid));
+            s_resume = (fun () -> Park.wake ~on:"cml.sync" (k, wrapped, tid));
           }
     | BRecv (ch, wrapf) ->
         Fifo.enq ch.rcvrs
           {
             r_commit = commit;
             r_deliver =
-              (fun v ->
-                note_wakeup "cml.sync" tid;
-                S.reschedule_thread (k, (fun () -> wrapf v), tid));
+              (fun v -> Park.wake ~on:"cml.sync" (k, (fun () -> wrapf v), tid));
           }
 
   let sync ev =
@@ -214,9 +184,7 @@ struct
     match flatten ev Fun.id [] all_aborts with
     | [] when !all_aborts = [] ->
         (* never: block this thread forever *)
-        Engine.callcc (fun _ ->
-            note_block "cml.never" (S.id ());
-            S.dispatch ())
+        Engine.callcc (fun _ -> Park.block ~on:"cml.never" (S.id ()))
     | tagged ->
         let chosen = ref (-1) in
         let tagged = shuffle tagged in
@@ -235,9 +203,7 @@ struct
               | None ->
                   let commit = P.Lock.mutex_lock () in
                   List.iter (fun b -> register_base b commit k tid) bases;
-                  P.Lock.unlock global_lock;
-                  note_block "cml.sync" tid;
-                  S.dispatch ())
+                  Park.park ~on:"cml.sync" global_lock tid)
         in
         let v = thunk () in
         (* mark the winner's enclosing wrap_aborts, then run the rest (in

@@ -20,34 +20,10 @@ struct
   }
 
   (* Telemetry: Blocked when a sender/receiver parks on empty channels,
-     Wakeup for the peer resumed by a completed rendezvous.  Host-side
-     only — never charges virtual time. *)
-  let c_blocks = P.Telemetry.counter "select.blocks"
-  let c_wakeups = P.Telemetry.counter "select.wakeups"
-
-  let note_block on tid =
-    Obs.Counters.incr c_blocks;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Blocked
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
-
-  let note_wakeup on tid =
-    Obs.Counters.incr c_wakeups;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Wakeup
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
+     Wakeup for the peer resumed by a completed rendezvous. *)
+  module Park = Mpthreads.Park.Make (P) (S) (struct
+    let family = "select"
+  end)
 
   let rng = ref (Random.State.make [| 0x5e1ec7 |])
   let set_seed seed = rng := Random.State.make [| seed |]
@@ -72,17 +48,14 @@ struct
       | { rkont; rid; committed } ->
           if P.Lock.try_lock committed then begin
             P.Lock.unlock ch_lock;
-            note_wakeup "select.send" rid;
-            S.reschedule_thread (rkont, v, rid)
+            Park.wake ~on:"select.send" (rkont, v, rid)
           end
           else loop () (* stale receiver, already served: drop and retry *)
       | exception Q.Empty ->
           Engine.callcc (fun c ->
               let sid = S.id () in
               Q.enq sndrs { skont = c; sid; value = v };
-              P.Lock.unlock ch_lock;
-              note_block "select.send" sid;
-              S.dispatch ())
+              Park.park ~on:"select.send" ch_lock sid)
     in
     loop ()
 
@@ -91,17 +64,14 @@ struct
         let committed = P.Lock.mutex_lock () in
         let r = { rkont = c; rid = S.id (); committed } in
         let rec loop = function
-          | [] ->
-              note_block "select.receive" r.rid;
-              S.dispatch ()
+          | [] -> Park.block ~on:"select.receive" r.rid
           | { ch_lock; sndrs; rcvrs } :: rest -> (
               P.Lock.lock ch_lock;
               match Q.deq sndrs with
               | { skont; sid; value } ->
                   if P.Lock.try_lock committed then begin
                     P.Lock.unlock ch_lock;
-                    note_wakeup "select.receive" sid;
-                    S.reschedule (skont, sid);
+                    Park.wake_unit ~on:"select.receive" (skont, sid);
                     value
                   end
                   else begin

@@ -136,7 +136,7 @@ let of_machine_string ?sched ?gc str =
   @@
   let s = String.lowercase_ascii (String.trim str) in
   match s with
-  | "sequent" | "flat" -> Ok (sequent ?sched ())
+  | "sequent" -> Ok (sequent ?sched ())
   | "sgi" -> Ok (sgi ?sched ())
   | "numa" -> Ok (numa ?sched ())
   | "numa1024" -> Ok (numa ~nodes:16 ~procs_per_node:64 ?sched ())

@@ -2,41 +2,11 @@ open Mp
 
 module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Mpthreads.Thread_intf.SCHED) =
 struct
-  (* Telemetry: one Blocked/Wakeup event per park/unpark, tagged with the
-     construct that parked the thread.  Counters total them even while
-     event emission is off; both are host-side only, so they never perturb
-     virtual time.  Emission sites sit after the construct's spin lock is
-     released. *)
-  let c_blocks = P.Telemetry.counter "sync.blocks"
-  let c_wakeups = P.Telemetry.counter "sync.wakeups"
-
-  let note_block on tid =
-    Obs.Counters.incr c_blocks;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Blocked
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
-
-  let note_wakeup on tid =
-    Obs.Counters.incr c_wakeups;
-    if P.Telemetry.enabled () then
-      P.Telemetry.emit
-        (Obs.Event.Wakeup
-           {
-             proc = max 0 (P.Proc.self ());
-             clock = P.Telemetry.now_ts ();
-             thread = tid;
-             on;
-           })
-
-  let wake on ((_, tid) as w) =
-    note_wakeup on tid;
-    S.reschedule w
+  (* Every park tail goes through [Park]: Blocked/Wakeup telemetry under
+     [sync.*], emitted after the construct's spin lock is released. *)
+  module Park = Mpthreads.Park.Make (P) (S) (struct
+    let family = "sync"
+  end)
 
   module Ivar = struct
     type 'a t = {
@@ -61,9 +31,7 @@ struct
           t.readers <- [];
           P.Lock.unlock t.spin;
           List.iter
-            (fun (k, tid) ->
-              note_wakeup "sync.ivar" tid;
-              S.reschedule_thread (k, v, tid))
+            (fun (k, tid) -> Park.wake ~on:"sync.ivar" (k, v, tid))
             readers
 
     let read t =
@@ -76,9 +44,7 @@ struct
           | None ->
               let tid = S.id () in
               t.readers <- (k, tid) :: t.readers;
-              P.Lock.unlock t.spin;
-              note_block "sync.ivar" tid;
-              S.dispatch ())
+              Park.park ~on:"sync.ivar" t.spin tid)
 
     let poll t =
       P.Lock.lock t.spin;
@@ -110,8 +76,7 @@ struct
           match Queues.Fifo_queue.deq_opt t.takers with
           | Some (taker, tid) ->
               P.Lock.unlock t.spin;
-              note_wakeup "sync.mvar" tid;
-              S.reschedule_thread (taker, v, tid);
+              Park.wake ~on:"sync.mvar" (taker, v, tid);
               Engine.throw k ()
           | None ->
               if t.value = None then begin
@@ -122,9 +87,7 @@ struct
               else begin
                 let tid = S.id () in
                 Queues.Fifo_queue.enq t.putters (v, (k, tid));
-                P.Lock.unlock t.spin;
-                note_block "sync.mvar" tid;
-                S.dispatch ()
+                Park.park ~on:"sync.mvar" t.spin tid
               end)
 
     let take t =
@@ -137,7 +100,7 @@ struct
               | Some (pv, putter) ->
                   t.value <- Some pv;
                   P.Lock.unlock t.spin;
-                  wake "sync.mvar" putter
+                  Park.wake_unit ~on:"sync.mvar" putter
               | None ->
                   t.value <- None;
                   P.Lock.unlock t.spin);
@@ -145,9 +108,7 @@ struct
           | None ->
               let tid = S.id () in
               Queues.Fifo_queue.enq t.takers (k, tid);
-              P.Lock.unlock t.spin;
-              note_block "sync.mvar" tid;
-              S.dispatch ())
+              Park.park ~on:"sync.mvar" t.spin tid)
 
     let try_take t =
       P.Lock.lock t.spin;
@@ -157,7 +118,7 @@ struct
           | Some (pv, putter) ->
               t.value <- Some pv;
               P.Lock.unlock t.spin;
-              wake "sync.mvar" putter
+              Park.wake_unit ~on:"sync.mvar" putter
           | None ->
               t.value <- None;
               P.Lock.unlock t.spin);
@@ -168,59 +129,9 @@ struct
   end
 
   module Semaphore = struct
-    type t = {
-      spin : P.Lock.mutex_lock;
-      mutable count : int;
-      waiters : (unit Engine.cont * int) Queues.Fifo_queue.queue;
-    }
+    include Park.Semaphore
 
-    let create n =
-      if n < 0 then invalid_arg "Semaphore.create";
-      {
-        spin = P.Lock.mutex_lock ();
-        count = n;
-        waiters = Queues.Fifo_queue.create ();
-      }
-
-    let acquire t =
-      Engine.callcc (fun k ->
-          P.Lock.lock t.spin;
-          if t.count > 0 then begin
-            t.count <- t.count - 1;
-            P.Lock.unlock t.spin;
-            Engine.throw k ()
-          end
-          else begin
-            let tid = S.id () in
-            Queues.Fifo_queue.enq t.waiters (k, tid);
-            P.Lock.unlock t.spin;
-            note_block "sync.semaphore" tid;
-            S.dispatch ()
-          end)
-
-    let try_acquire t =
-      P.Lock.lock t.spin;
-      let ok = t.count > 0 in
-      if ok then t.count <- t.count - 1;
-      P.Lock.unlock t.spin;
-      ok
-
-    let release t =
-      P.Lock.lock t.spin;
-      match Queues.Fifo_queue.deq_opt t.waiters with
-      | Some w ->
-          (* Hand the permit directly to the next waiter. *)
-          P.Lock.unlock t.spin;
-          wake "sync.semaphore" w
-      | None ->
-          t.count <- t.count + 1;
-          P.Lock.unlock t.spin
-
-    let value t =
-      P.Lock.lock t.spin;
-      let v = t.count in
-      P.Lock.unlock t.spin;
-      v
+    let create n = create ~on:"sync.semaphore" n
   end
 
   module Rwlock = struct
@@ -254,9 +165,7 @@ struct
           else begin
             let tid = S.id () in
             Queues.Fifo_queue.enq t.wait_readers (k, tid);
-            P.Lock.unlock t.spin;
-            note_block "sync.rwlock" tid;
-            S.dispatch ()
+            Park.park ~on:"sync.rwlock" t.spin tid
           end)
 
     (* Called with the spin lock held; wakes whoever may proceed. *)
@@ -267,7 +176,7 @@ struct
             t.waiting_writers <- t.waiting_writers - 1;
             t.writing <- true;
             P.Lock.unlock t.spin;
-            wake "sync.rwlock" w
+            Park.wake_unit ~on:"sync.rwlock" w
         | None ->
             let rec wake acc =
               match Queues.Fifo_queue.deq_opt t.wait_readers with
@@ -278,10 +187,7 @@ struct
             in
             let ws = wake [] in
             P.Lock.unlock t.spin;
-            List.iter (fun ((_, tid) as w) ->
-                note_wakeup "sync.rwlock" tid;
-                S.reschedule w)
-              ws
+            List.iter (Park.wake_unit ~on:"sync.rwlock") ws
       else P.Lock.unlock t.spin
 
     let read_unlock t =
@@ -307,9 +213,7 @@ struct
             let tid = S.id () in
             t.waiting_writers <- t.waiting_writers + 1;
             Queues.Fifo_queue.enq t.wait_writers (k, tid);
-            P.Lock.unlock t.spin;
-            note_block "sync.rwlock" tid;
-            S.dispatch ()
+            Park.park ~on:"sync.rwlock" t.spin tid
           end)
 
     let write_unlock t =
@@ -366,15 +270,13 @@ struct
             t.waiters <- [];
             t.arrived <- 0;
             P.Lock.unlock t.spin;
-            List.iter (wake "sync.barrier") ws;
+            List.iter (Park.wake_unit ~on:"sync.barrier") ws;
             Engine.throw k index
           end
           else begin
             let tid = S.id () in
             t.waiters <- (Kont_util.unit_cont_of k index, tid) :: t.waiters;
-            P.Lock.unlock t.spin;
-            note_block "sync.barrier" tid;
-            S.dispatch ()
+            Park.park ~on:"sync.barrier" t.spin tid
           end)
   end
 
@@ -419,7 +321,7 @@ struct
       let ws = if t.count = 0 then t.waiters else [] in
       if t.count = 0 then t.waiters <- [];
       P.Lock.unlock t.spin;
-      List.iter (wake "sync.countdown") ws
+      List.iter (Park.wake_unit ~on:"sync.countdown") ws
 
     let await t =
       Engine.callcc (fun k ->
@@ -431,9 +333,7 @@ struct
           else begin
             let tid = S.id () in
             t.waiters <- (k, tid) :: t.waiters;
-            P.Lock.unlock t.spin;
-            note_block "sync.countdown" tid;
-            S.dispatch ()
+            Park.park ~on:"sync.countdown" t.spin tid
           end)
 
     let remaining t =

@@ -1,20 +1,44 @@
 open Mp
 
 module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
-  type waiter = unit Engine.cont * int
-
   type 'a state = Running | Done of 'a | Raised of exn
 
   exception Alerted
 
+  (* Mutexes and conditions are the shared park-and-wake ones; joins park
+     through the same module. *)
+  module Park = Park.Make (P) (S) (struct
+    let family = "sync"
+  end)
+
+  module Mutex = struct
+    type t = Park.Semaphore.t
+
+    let create () = Park.Semaphore.create ~on:"m3.mutex" 1
+    let lock = Park.Semaphore.acquire
+    let unlock = Park.Semaphore.release
+    let with_lock = Park.Semaphore.with_permit
+  end
+
+  module Condition = struct
+    include Park.Condition
+
+    let create () = create ~on:"m3.condition"
+    let wait m t = wait m t (* [cancel] is for [alert_wait] only *)
+  end
+
   (* Modula-3 alerts: a per-thread flag plus, while the thread is blocked in
-     [Condition.wait]/[alert_wait], the condition it waits on (so [alert]
-     can wake it). *)
+     [alert_wait], the condition it waits on (so [alert] can wake it).  Both
+     are atomics: [alert] sets the flag then reads the condition, the waiter
+     publishes the condition then tests the flag, and one of the two must
+     see the other's write. *)
   type alert_state = {
-    mutable alerted : bool;
-    mutable waiting_on : Obj.t option; (* the Condition.t, untyped to break
-                                          the recursion with Condition *)
+    alerted : bool Atomic.t;
+    waiting_on : Condition.t option Atomic.t;
   }
+
+  let new_alert_state () =
+    { alerted = Atomic.make false; waiting_on = Atomic.make None }
 
   let registry_lock = P.Lock.mutex_lock ()
   let registry : (int, alert_state) Hashtbl.t = Hashtbl.create 64
@@ -25,7 +49,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
       match Hashtbl.find_opt registry tid with
       | Some st -> st
       | None ->
-          let st = { alerted = false; waiting_on = None } in
+          let st = new_alert_state () in
           Hashtbl.replace registry tid st;
           st
     in
@@ -37,7 +61,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
   type 'a t = {
     spin : P.Lock.mutex_lock;
     mutable state : 'a state;
-    mutable joiners : waiter list;
+    mutable joiners : (unit Engine.cont * int) list;
     astate : alert_state; (* created at fork, adopted by the thread: alerts
                              posted before the thread starts are not lost *)
   }
@@ -48,7 +72,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
         spin = P.Lock.mutex_lock ();
         state = Running;
         joiners = [];
-        astate = { alerted = false; waiting_on = None };
+        astate = new_alert_state ();
       }
     in
     S.fork (fun () ->
@@ -66,7 +90,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
         P.Lock.lock registry_lock;
         Hashtbl.remove registry (S.id ());
         P.Lock.unlock registry_lock;
-        List.iter S.reschedule joiners);
+        List.iter (Park.wake_unit ~on:"m3.join") joiners);
     t
 
   let join t =
@@ -77,130 +101,29 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
             P.Lock.unlock t.spin;
             Engine.throw k ()
         | Running ->
-            t.joiners <- (k, S.id ()) :: t.joiners;
-            P.Lock.unlock t.spin;
-            S.dispatch ());
+            let tid = S.id () in
+            t.joiners <- (k, tid) :: t.joiners;
+            Park.park ~on:"m3.join" t.spin tid);
     match t.state with
     | Done v -> v
     | Raised e -> raise e
     | Running -> assert false
 
-  module Mutex = struct
-    type t = {
-      spin : P.Lock.mutex_lock;
-      mutable held : bool;
-      waiters : waiter Queues.Fifo_queue.queue;
-    }
-
-    let create () =
-      {
-        spin = P.Lock.mutex_lock ();
-        held = false;
-        waiters = Queues.Fifo_queue.create ();
-      }
-
-    let lock t =
-      Engine.callcc (fun k ->
-          P.Lock.lock t.spin;
-          if not t.held then begin
-            t.held <- true;
-            P.Lock.unlock t.spin;
-            Engine.throw k ()
-          end
-          else begin
-            Queues.Fifo_queue.enq t.waiters (k, S.id ());
-            P.Lock.unlock t.spin;
-            S.dispatch ()
-          end)
-
-    let unlock t =
-      P.Lock.lock t.spin;
-      match Queues.Fifo_queue.deq_opt t.waiters with
-      | Some w ->
-          (* Hand ownership directly to the next waiter: [held] stays true. *)
-          P.Lock.unlock t.spin;
-          S.reschedule w
-      | None ->
-          t.held <- false;
-          P.Lock.unlock t.spin
-
-    let with_lock t f =
-      lock t;
-      match f () with
-      | v ->
-          unlock t;
-          v
-      | exception e ->
-          unlock t;
-          raise e
-  end
-
-  module Condition = struct
-    type t = {
-      spin : P.Lock.mutex_lock;
-      waiters : waiter Queues.Fifo_queue.queue;
-    }
-
-    let create () =
-      { spin = P.Lock.mutex_lock (); waiters = Queues.Fifo_queue.create () }
-
-    let wait m t =
-      Engine.callcc (fun k ->
-          P.Lock.lock t.spin;
-          Queues.Fifo_queue.enq t.waiters (k, S.id ());
-          P.Lock.unlock t.spin;
-          Mutex.unlock m;
-          S.dispatch ());
-      Mutex.lock m
-
-    let signal t =
-      P.Lock.lock t.spin;
-      let w = Queues.Fifo_queue.deq_opt t.waiters in
-      P.Lock.unlock t.spin;
-      match w with Some w -> S.reschedule w | None -> ()
-
-    let broadcast t =
-      P.Lock.lock t.spin;
-      let rec drain acc =
-        match Queues.Fifo_queue.deq_opt t.waiters with
-        | Some w -> drain (w :: acc)
-        | None -> acc
-      in
-      let ws = drain [] in
-      P.Lock.unlock t.spin;
-      List.iter S.reschedule ws
-  end
-
   (* ---- alerts (Modula-3 Thread.Alert / TestAlert / AlertWait) ---- *)
 
-  let test_alert () =
-    let st = my_state () in
-    if st.alerted then begin
-      st.alerted <- false;
-      true
-    end
-    else false
+  let test_alert () = Atomic.exchange (my_state ()).alerted false
 
   let alert (t : 'a t) =
-    let st = t.astate in
-    st.alerted <- true;
-    (* wake it if it is blocked on a condition *)
-    match st.waiting_on with
-    | Some c -> Condition.broadcast (Obj.obj c : Condition.t)
-    | None -> ()
+    Atomic.set t.astate.alerted true;
+    Option.iter Condition.broadcast (Atomic.get t.astate.waiting_on)
 
   let alert_wait m c =
     let st = my_state () in
-    if st.alerted then begin
-      st.alerted <- false;
-      raise Alerted
-    end;
-    st.waiting_on <- Some (Obj.repr c);
-    Condition.wait m c;
-    st.waiting_on <- None;
-    if st.alerted then begin
-      st.alerted <- false;
-      (* Modula-3 semantics: the mutex is held when Alerted is raised *)
-      raise Alerted
-    end
+    Atomic.set st.waiting_on (Some c);
+    (* The flag is tested under the condition's lock, so an [alert] that
+       lands between this call and the enqueue is not lost. *)
+    Park.Condition.wait ~cancel:(fun () -> Atomic.get st.alerted) m c;
+    Atomic.set st.waiting_on None;
+    (* Modula-3 semantics: the mutex is held when Alerted is raised *)
+    if Atomic.exchange st.alerted false then raise Alerted
 end

@@ -1,8 +1,5 @@
-open Mp
-
 module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
   type thread = int
-  type waiter = unit Engine.cont * int
 
   let next = Atomic.make 1
 
@@ -17,92 +14,24 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) (S : Thread_intf.SCHED) = struct
   let equal (a : thread) b = a = b
   let id (t : thread) = t
 
-  type mutex = {
-    spin : P.Lock.mutex_lock;
-    mutable held : bool;
-    waiters : waiter Queues.Fifo_queue.queue;
-  }
+  (* Blocking (not spinning) mutexes and conditions are the shared
+     park-and-wake ones: a count-1 semaphore with FIFO handoff. *)
+  module Park = Park.Make (P) (S) (struct
+    let family = "sync"
+  end)
 
-  let mutex () =
-    {
-      spin = P.Lock.mutex_lock ();
-      held = false;
-      waiters = Queues.Fifo_queue.create ();
-    }
+  type mutex = Park.Semaphore.t
 
-  let acquire m =
-    Engine.callcc (fun k ->
-        P.Lock.lock m.spin;
-        if not m.held then begin
-          m.held <- true;
-          P.Lock.unlock m.spin;
-          Engine.throw k ()
-        end
-        else begin
-          Queues.Fifo_queue.enq m.waiters (k, S.id ());
-          P.Lock.unlock m.spin;
-          S.dispatch ()
-        end)
+  let mutex () = Park.Semaphore.create ~on:"ml.mutex" 1
+  let acquire = Park.Semaphore.acquire
+  let try_acquire = Park.Semaphore.try_acquire
+  let release = Park.Semaphore.release
+  let with_mutex = Park.Semaphore.with_permit
 
-  let try_acquire m =
-    P.Lock.lock m.spin;
-    let ok = not m.held in
-    if ok then m.held <- true;
-    P.Lock.unlock m.spin;
-    ok
+  type condition = Park.Condition.t
 
-  let release m =
-    P.Lock.lock m.spin;
-    match Queues.Fifo_queue.deq_opt m.waiters with
-    | Some w ->
-        (* direct handoff: [held] stays true for the new owner *)
-        P.Lock.unlock m.spin;
-        S.reschedule w
-    | None ->
-        m.held <- false;
-        P.Lock.unlock m.spin
-
-  let with_mutex m f =
-    acquire m;
-    match f () with
-    | v ->
-        release m;
-        v
-    | exception e ->
-        release m;
-        raise e
-
-  type condition = {
-    cspin : P.Lock.mutex_lock;
-    cwaiters : waiter Queues.Fifo_queue.queue;
-  }
-
-  let condition () =
-    { cspin = P.Lock.mutex_lock (); cwaiters = Queues.Fifo_queue.create () }
-
-  let wait (c, m) =
-    Engine.callcc (fun k ->
-        P.Lock.lock c.cspin;
-        Queues.Fifo_queue.enq c.cwaiters (k, S.id ());
-        P.Lock.unlock c.cspin;
-        release m;
-        S.dispatch ());
-    acquire m
-
-  let signal c =
-    P.Lock.lock c.cspin;
-    let w = Queues.Fifo_queue.deq_opt c.cwaiters in
-    P.Lock.unlock c.cspin;
-    match w with Some w -> S.reschedule w | None -> ()
-
-  let broadcast c =
-    P.Lock.lock c.cspin;
-    let rec drain acc =
-      match Queues.Fifo_queue.deq_opt c.cwaiters with
-      | Some w -> drain (w :: acc)
-      | None -> acc
-    in
-    let ws = drain [] in
-    P.Lock.unlock c.cspin;
-    List.iter S.reschedule ws
+  let condition () = Park.Condition.create ~on:"ml.condition"
+  let wait (c, m) = Park.Condition.wait m c
+  let signal = Park.Condition.signal
+  let broadcast = Park.Condition.broadcast
 end

@@ -24,8 +24,8 @@ let of_string s =
   match s with
   | "fifo" -> Ok Fifo
   | "lifo" -> Ok Lifo
-  | "distributed" | "default" -> Ok Distributed
-  | "ws" | "steal" -> Ok Ws
+  | "distributed" -> Ok Distributed
+  | "ws" -> Ok Ws
   | "micropools" -> Ok (Micropools 2)
   | _ -> (
       let bad () =

@@ -32,9 +32,8 @@ val to_string : t -> string
 (** ["fifo"], ["lifo"], ["distributed"], ["ws"], ["micropools:<k>"]. *)
 
 val of_string : string -> (t, string) result
-(** Parses {!to_string}'s forms (case-insensitive); also accepts
-    ["default"] for [Distributed], ["steal"] for [Ws] and bare
-    ["micropools"] for [Micropools 2]. *)
+(** Parses {!to_string}'s forms (case-insensitive); also accepts bare
+    ["micropools"] for [Micropools 2].  Any other spelling is an [Error]. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on an unknown policy name. *)

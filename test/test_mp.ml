@@ -638,6 +638,110 @@ struct
     check "no timer fired before its deadline" 0 (Atomic.get early);
     check "a finished pool's pending timer never fires" 0 (Atomic.get leaked)
 
+  (* Park and wake on this backend: threads contend on a Modula-3
+     mutex/condition bounded buffer and on a [Sync.Semaphore], all blocking
+     through the one park-and-wake module.  Each lock admits one holder at
+     a time and hands off to its longest waiter, and at quiescence every
+     recorded block has been matched by a wakeup. *)
+  module M3 = Mpthreads.M3_thread.Make (P) (ST)
+  module Sy = Mpsync.Sync.Make (P) (ST)
+
+  let test_park_and_wake () =
+    let blocks = P.Telemetry.counter "sync.blocks" in
+    let wakeups = P.Telemetry.counter "sync.wakeups" in
+    let overlap = Atomic.make false in
+    (* [f] runs holding a one-holder lock; yielding inside it makes the
+       other threads queue up behind the holder. *)
+    let exclusive inside f =
+      if Atomic.fetch_and_add inside 1 > 0 then Atomic.set overlap true;
+      f ();
+      ST.yield ();
+      Atomic.decr inside
+    in
+    (* The root holds the lock while it forks three threads at it, waiting
+       (on [sync.blocks]) for each to park before forking the next; once
+       released, the lock must reach them in that order.  The root then
+       queues behind them, so it gets the lock back only after all ran. *)
+    let fifo_handoff acquire release =
+      let order = ref [] and inside = Atomic.make 0 in
+      acquire ();
+      for i = 1 to 3 do
+        let parked = Obs.Counters.get blocks in
+        ST.fork (fun () ->
+            acquire ();
+            exclusive inside (fun () -> order := i :: !order);
+            release ());
+        while Obs.Counters.get blocks = parked do
+          P.Work.poll ();
+          ST.yield ()
+        done
+      done;
+      release ();
+      acquire ();
+      release ();
+      List.rev !order
+    in
+    let items = 8 and cap = 2 in
+    let consumed = ref [] in
+    let blocked, woken, mutex_order, sem_order =
+      P.run (fun () ->
+          let b0 = Obs.Counters.get blocks and w0 = Obs.Counters.get wakeups in
+          let procs = min 2 (P.Proc.max_procs ()) in
+          let mutex_order, sem_order =
+            ST.with_pool ~procs ~quantum:1e6
+              ~sched:Mpthreads.Sched_policy.Fifo (fun () ->
+                let m = M3.Mutex.create () in
+                let not_full = M3.Condition.create () in
+                let not_empty = M3.Condition.create () in
+                let buf = Queue.create () and inside = Atomic.make 0 in
+                let producer () =
+                  for x = 1 to items do
+                    M3.Mutex.with_lock m (fun () ->
+                        while Queue.length buf = cap do
+                          M3.Condition.wait m not_full
+                        done;
+                        exclusive inside (fun () -> Queue.push x buf);
+                        M3.Condition.signal not_empty)
+                  done
+                in
+                let consumer () =
+                  for _ = 1 to items do
+                    M3.Mutex.with_lock m (fun () ->
+                        while Queue.is_empty buf do
+                          M3.Condition.wait m not_empty
+                        done;
+                        exclusive inside (fun () ->
+                            consumed := Queue.pop buf :: !consumed);
+                        M3.Condition.signal not_full)
+                  done
+                in
+                ST.fork_join [ producer; consumer ];
+                let mutex_order =
+                  fifo_handoff
+                    (fun () -> M3.Mutex.lock m)
+                    (fun () -> M3.Mutex.unlock m)
+                in
+                let sem = Sy.Semaphore.create 1 in
+                ( mutex_order,
+                  fifo_handoff
+                    (fun () -> Sy.Semaphore.acquire sem)
+                    (fun () -> Sy.Semaphore.release sem) ))
+          in
+          ( Obs.Counters.get blocks - b0,
+            Obs.Counters.get wakeups - w0,
+            mutex_order,
+            sem_order ))
+    in
+    checkb "one holder at a time" false (Atomic.get overlap);
+    Alcotest.(check (list int))
+      "bounded buffer delivers in order" (List.init items succ)
+      (List.rev !consumed);
+    Alcotest.(check (list int)) "mutex hands off FIFO" [ 1; 2; 3 ] mutex_order;
+    Alcotest.(check (list int))
+      "semaphore hands off FIFO" [ 1; 2; 3 ] sem_order;
+    checkb "threads parked" true (blocked >= 6);
+    check "every block matched by a wakeup" blocked woken
+
   (* The server pipeline end-to-end on this backend: a fixed 200-request
      closed-burst trace (rate = infinity ⇒ every arrival at t = 0, so no
      sleep timers — it runs under the checker's single schedule too);
@@ -690,6 +794,7 @@ struct
       Alcotest.test_case "scheduler policy family" `Quick test_sched_policies;
       Alcotest.test_case "server pipeline" `Quick test_server_pipeline;
       Alcotest.test_case "timers" `Quick test_timers;
+      Alcotest.test_case "park and wake" `Quick test_park_and_wake;
     ]
 end
 

@@ -28,6 +28,25 @@ let test_config_conversions () =
   check "1s at 16MHz" 16_000_000 c;
   checkf "round trip" 1.0 (Sim.Sim_config.cycles_to_seconds cfg c)
 
+(* Selectors accept only their documented spellings: every canonical
+   policy and machine name parses, and the old aliases are rejected. *)
+let test_config_spellings () =
+  let ok = function Ok _ -> true | Error _ -> false in
+  let policy = Mpthreads.Sched_policy.of_string in
+  let machine s = Sim.Sim_config.of_machine_string s in
+  List.iter
+    (fun p ->
+      let s = Mpthreads.Sched_policy.to_string p in
+      checkb ("policy " ^ s) true (ok (policy s)))
+    Mpthreads.Sched_policy.[ Fifo; Lifo; Distributed; Ws; Micropools 3 ];
+  List.iter
+    (fun s -> checkb ("machine " ^ s) true (ok (machine s)))
+    [ "sequent"; "sgi"; "numa:2x8"; "numa1024" ];
+  List.iter
+    (fun s -> checkb ("policy alias " ^ s) false (ok (policy s)))
+    [ "default"; "steal" ];
+  checkb "machine alias flat" false (ok (machine "flat"))
+
 (* ---------------- determinism ---------------- *)
 
 let workload () =
@@ -1068,6 +1087,7 @@ let () =
         [
           Alcotest.test_case "lock pair us" `Quick test_config_lock_pair;
           Alcotest.test_case "conversions" `Quick test_config_conversions;
+          Alcotest.test_case "selector spellings" `Quick test_config_spellings;
         ] );
       ( "determinism",
         [
