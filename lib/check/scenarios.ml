@@ -287,6 +287,61 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
           (not (S.looks_nonempty q ~proc:0))
           "ws steal-half: emptiness hint stuck nonempty after the drain")
 
+  (* The lost-wakeup window of the [ws] idle hint, which reads [total >
+     searching]: the last searcher gives up just as another proc pushes.
+     Proc 1 serves as the scheduler's dispatch does — take, and on a miss
+     idle on the hint — while the root pushes two items onto its own queue
+     and never takes, so every item must travel by steal.  The ws cells
+     are not serialization points under the checker, so a [take] (enter
+     the searching count, sweep, leave) is one step and the explored
+     window is the one between the searcher's give-up and its idle check:
+     a push landing there must read as uncovered work, or proc 1 idles for
+     ever and the checker reports the deadlock.  At every visible point
+     outside a [take] no proc is searching, so the hint must read true
+     whenever an item is queued. *)
+  let ws_searcher_handoff_scenario () =
+    C.run (fun () ->
+        let module Pol = Mpthreads.Sched_policy.Make (C) in
+        let (module S) = Pol.instance Mpthreads.Sched_policy.Ws in
+        let q = S.create ~procs:2 in
+        S.prepare q ~procs:2;
+        let items = 2 in
+        let taken = Array.make items 0 in
+        let hint_covers ~proc =
+          check
+            (S.total_length q = 0 || S.looks_nonempty q ~proc)
+            "ws handoff: an item is queued, nobody searches, hint reads false"
+        in
+        C.spawn (fun () ->
+            let rec serve left =
+              if left > 0 then
+                match S.take q ~proc:1 with
+                | Some v ->
+                    taken.(v) <- taken.(v) + 1;
+                    serve (left - 1)
+                | None ->
+                    hint_covers ~proc:1;
+                    (* gave up, not yet idle: the push may land here *)
+                    C.Work.poll ();
+                    C.Work.idle_until ~ready:(fun () ->
+                        S.looks_nonempty q ~proc:1);
+                    serve left
+            in
+            serve items);
+        for v = 0 to items - 1 do
+          C.Work.poll ();
+          S.push_local q ~proc:0 v;
+          hint_covers ~proc:0
+        done;
+        join ();
+        Array.iteri
+          (fun v n -> check (n = 1) "ws handoff: item %d taken %d times" v n)
+          taken;
+        check (S.total_length q = 0) "ws handoff: an item left queued";
+        check
+          (not (S.looks_nonempty q ~proc:0))
+          "ws handoff: hint stuck nonempty on a drained queue")
+
   let multi_queue_scenario () =
     C.run (fun () ->
         let module MQ = Queues.Multi_queue.Make (T_tas) in
@@ -982,6 +1037,7 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) = struct
       ("queue_spmc", spmc_queue_scenario);
       ("sched_micropool_affinity", micropool_affinity_scenario);
       ("sched_ws_steal_half", ws_steal_half_scenario);
+      ("ws_searcher_handoff", ws_searcher_handoff_scenario);
       ("queue_multi", multi_queue_scenario);
       ("queue_bounded", bounded_queue_scenario);
       ("server_pipeline", server_pipeline_scenario ~broken:false);

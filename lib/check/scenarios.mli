@@ -13,11 +13,12 @@ module Make (C : Mp_check.S with type Proc.proc_datum = int) : sig
   val all : (string * (unit -> unit)) list
   (** Small-state scenarios meant for exhaustive bound-2 DFS: the 8 mutex
       algorithms + the reader/writer spin lock, the three shared queues,
-      the server accept/shard/work pipeline over bounded shard queues,
-      Sync ivar/mvar/semaphore, the shared park-and-wake condition
-      (producer/consumer, no lost wakeup), Modula-3 alerts racing
-      [alert_wait], Select, CML rendezvous and choice, and the proc-pool
-      contract. *)
+      the [ws] policy's steal-half path and its searcher hand-off (no lost
+      wakeup behind the idle hint), the server accept/shard/work pipeline
+      over bounded shard queues, Sync ivar/mvar/semaphore, the shared
+      park-and-wake condition (producer/consumer, no lost wakeup),
+      Modula-3 alerts racing [alert_wait], Select, CML rendezvous and
+      choice, and the proc-pool contract. *)
 
   val heavy : (string * (unit -> unit)) list
   (** Scenarios with large decision counts (the full [Sched_thread] package

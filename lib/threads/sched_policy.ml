@@ -4,7 +4,9 @@
 
    All per-proc counters and cursors here are host-side bookkeeping: they
    are never charged, so they do not perturb virtual time, and races on
-   them (domains backend) can at worst under-count telemetry. *)
+   them (domains backend) can at worst under-count telemetry.  Work
+   stealing's searcher count is the exception: a shared word every thief
+   writes, so it is a charged cell. *)
 
 type t = Fifo | Lifo | Distributed | Ws | Micropools of int
 
@@ -155,6 +157,9 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
              or steal (a steal's batch re-push cancels against the batch
              removal).  Gives an O(1) emptiness hint where scanning every
              slot's queue was O(procs). *)
+      searching : int CP.cell;
+          (* procs inside a victim sweep (see [steal]); entering and
+             leaving each pay an RMW and the line transfer *)
     }
 
     let seed_of p =
@@ -173,6 +178,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
         attempts = 0;
         hits = 0;
         total = Stdlib.Atomic.make 0;
+        searching = CP.make 0;
       }
 
     let prepare t ~procs =
@@ -199,6 +205,7 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
       let n = Array.length t.slots in
       (* elastic victim range: only probe procs actually in the pool *)
       let live = if t.live > proc then t.live else n in
+      (* a one-proc pool has no victim and never touches [searching] *)
       if live <= 1 then None
       else begin
         let s = t.slots.(proc) in
@@ -245,22 +252,29 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
         in
         match again with
         | Some _ as hit -> hit
-        | None -> (
+        | None ->
+            (* only a miss there makes this proc a searcher, counted in
+               [searching] for the length of its sweep, hit or miss *)
+            ignore (CP.fetch_and_add t.searching 1);
             let start = proc + 1 + (next_rand s mod (live - 1)) in
-            if P.Proc.nodes () <= 1 then sweep_from start (fun _ -> true)
-            else
-              (* node-aware victim order: exhaust same-node victims first —
-                 those steals stay off the inter-node link — and only then
-                 reach across nodes.  One rand draw either way, so the flat
-                 machine's probe sequence (and the simulator goldens over
-                 it) is untouched. *)
-              let my_node = P.Proc.node_of proc in
-              match
-                sweep_from start (fun v -> P.Proc.node_of v = my_node)
-              with
-              | Some _ as hit -> hit
-              | None ->
-                  sweep_from start (fun v -> P.Proc.node_of v <> my_node))
+            let r =
+              if P.Proc.nodes () <= 1 then sweep_from start (fun _ -> true)
+              else
+                (* node-aware victim order: exhaust same-node victims
+                   first — those steals stay off the inter-node link — and
+                   only then reach across nodes.  One rand draw either way,
+                   so the flat machine's probe sequence (and the simulator
+                   goldens over it) is untouched. *)
+                let my_node = P.Proc.node_of proc in
+                match
+                  sweep_from start (fun v -> P.Proc.node_of v = my_node)
+                with
+                | Some _ as hit -> hit
+                | None ->
+                    sweep_from start (fun v -> P.Proc.node_of v <> my_node)
+            in
+            ignore (CP.fetch_and_add t.searching (-1));
+            r
       end
 
     let take t ~proc =
@@ -271,7 +285,14 @@ module Make (P : Mp.Mp_intf.PLATFORM_INT) = struct
           v
       | None -> steal t ~proc
 
-    let looks_nonempty t ~proc:_ = Stdlib.Atomic.get t.total > 0
+    (* Work no searcher already covers: each proc inside a sweep will find
+       (or has just taken) at most one item, so only the surplus wakes
+       another idle proc — one push wakes one searcher, not every idle
+       proc.  A searcher that gives up leaves the count before it idles,
+       so an item pushed behind its sweep reads as uncovered as soon as no
+       sweep is left to find it. *)
+    let looks_nonempty t ~proc:_ =
+      Stdlib.Atomic.get t.total > CP.unsafe_peek t.searching
 
     let total_length t =
       Array.fold_left (fun acc s -> acc + SQ.length_hint s.q) 0 t.slots

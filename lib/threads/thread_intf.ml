@@ -79,9 +79,14 @@ module type SCHEDULER = sig
       runnable for this proc right now. *)
 
   val looks_nonempty : 'a t -> proc:int -> bool
-  (** Racy, charge-free hint covering the peek set of {!take}: used as the
-      idle poller's readiness predicate, so it must take no locks, perform
-      no platform charges and write nothing. *)
+  (** Racy, charge-free hint that [proc]'s {!take} may find work that no
+      searcher already covers: used as the idle poller's readiness
+      predicate, so it must take no locks, perform no platform charges and
+      write nothing.  A policy whose [take] sweeps other procs' queues may
+      read false while another proc's sweep is under way and could still
+      reach the item (that proc is the one woken for it), but must read
+      true whenever an item is queued and no sweep is under way, so an
+      idle proc never sleeps through work nobody else will take. *)
 
   val total_length : 'a t -> int
   (** Approximate enqueued items (racy, charge-free snapshot). *)

@@ -564,6 +564,40 @@ struct
         check (Printf.sprintf "policy %s: all tasks ran once" label) 10 v)
       Mpthreads.Sched_policy.[ Fifo; Lifo; Distributed; Ws; Micropools 2 ]
 
+  (* Work stealing's idle hint on this backend: the root thread forks
+     items one at a time and, between forks, idles its own proc until the
+     item has run, so every item has to be found by an idle proc that the
+     push woke (the hint counts only work no searcher already covers).
+     Each wait is bounded; an item not run by the bound is drained by the
+     root afterwards and counted as stranded.  On a one-proc backend the
+     root yields instead.  Every item runs exactly once and none is
+     stranded. *)
+  let test_ws_wakes_searcher () =
+    let items = 6 in
+    let ran = Array.init items (fun _ -> Atomic.make 0) in
+    let stranded = Atomic.make 0 in
+    P.run (fun () ->
+        let procs = min 4 (P.Proc.max_procs ()) in
+        ST.with_pool ~procs ~quantum:1e6 ~sched:Mpthreads.Sched_policy.Ws
+          (fun () ->
+            let has_run i = Atomic.get ran.(i) > 0 in
+            for i = 0 to items - 1 do
+              ST.fork (fun () -> Atomic.incr ran.(i));
+              if ST.pool_procs () > 1 then begin
+                let deadline = P.Work.now () +. 5. in
+                P.Work.idle_until ~ready:(fun () ->
+                    has_run i || P.Work.now () > deadline);
+                if not (has_run i) then Atomic.incr stranded
+              end;
+              while not (has_run i) do
+                ST.yield ()
+              done
+            done));
+    Array.iteri
+      (fun i n -> check (Printf.sprintf "item %d ran once" i) 1 (Atomic.get n))
+      ran;
+    check "no item stranded behind an idle hint" 0 (Atomic.get stranded)
+
   (* Timers on this backend: three back-to-back pools, each starting from an
      empty heap.  In each, sleepers (forked latest-deadline first) and
      [at] callbacks registered from several threads on up to two procs;
@@ -794,6 +828,7 @@ struct
       Alcotest.test_case "scheduler policy family" `Quick test_sched_policies;
       Alcotest.test_case "server pipeline" `Quick test_server_pipeline;
       Alcotest.test_case "timers" `Quick test_timers;
+      Alcotest.test_case "ws wakes a searcher" `Quick test_ws_wakes_searcher;
       Alcotest.test_case "park and wake" `Quick test_park_and_wake;
     ]
 end

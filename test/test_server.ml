@@ -71,12 +71,12 @@ let golden =
          qwait=0.000000000" );
       ( (Ws, 4),
         "GOLDEN server sched=ws           procs=4  count=2000 \
-         sum=32160219338 p50=11010047 p95=50331647 p99=71303167 \
-         p999=96468991 elapsed=8.062623625 tput=248.058 qwait=0.000000000" );
+         sum=32212443911 p50=11534335 p95=50331647 p99=71303167 \
+         p999=96468991 elapsed=8.062691813 tput=248.056 qwait=0.000000000" );
       ( (Ws, 16),
         "GOLDEN server sched=ws           procs=16 count=2000 \
-         sum=31433743938 p50=11010047 p95=48234495 p99=71303167 \
-         p999=92274687 elapsed=8.062611375 tput=248.059 qwait=0.000000000" );
+         sum=31518360905 p50=11010047 p95=48234495 p99=71303167 \
+         p999=96468991 elapsed=8.062657125 tput=248.057 qwait=0.000000000" );
     ]
 
 let golden_case cell expected () =
@@ -149,6 +149,38 @@ let test_numa_run_ahead_twin () =
   Alcotest.(check string) "digest" d_ref d_fast;
   List.iter2 (fun (name, r) (_, f) -> check name r f) m_ref m_fast;
   Alcotest.(check bool) "crosses the link" true (List.assoc "remote bytes" m_fast > 0)
+
+(* ---------------- host cost budget ---------------- *)
+
+(* Idle-herd guard, in the style of the sim suspension budgets: under work
+   stealing a push wakes one steal searcher, not every idle proc.  On this
+   300-request cell the searching-count hint ([total > searching])
+   measures 278.6 steal attempts per request; the hint it replaced
+   ([total > 0], every idle proc sweeps every victim) measured 314.1.  The
+   run is virtual-time deterministic, so the budget between the two fails
+   exactly when the herd comes back. *)
+let test_ws_steal_budget () =
+  let module M =
+    Sim.Mp_sim.Int (struct
+        let config =
+          Sim.Sim_config.of_machine_string_exn ~sched:"ws" "numa:2x8"
+      end)
+      ()
+  in
+  let module S = Workloads.Server.Make (M) in
+  let requests = 300 in
+  let r =
+    S.run ~procs:16 ~sched:Mpthreads.Sched_policy.Ws
+      { Workloads.Server.default with requests }
+  in
+  check "every request served" requests
+    (Obs.Histogram.count r.Workloads.Server.hist);
+  let attempts =
+    Obs.Counters.get (M.Telemetry.counter "sched.steal_attempts")
+  in
+  let per_request = float_of_int attempts /. float_of_int requests in
+  if per_request >= 295. then
+    Alcotest.failf "%.1f steal attempts per request, budget 295" per_request
 
 (* ---------------- pure generators ---------------- *)
 
@@ -297,6 +329,11 @@ let () =
           Alcotest.test_case "rerun identical" `Quick test_rerun_identical;
           Alcotest.test_case "numa:2x8 ws run-ahead twin" `Quick
             test_numa_run_ahead_twin;
+        ] );
+      ( "host cost",
+        [
+          Alcotest.test_case "numa:2x8 ws steal attempts per request" `Quick
+            test_ws_steal_budget;
         ] );
       ( "tails",
         [
